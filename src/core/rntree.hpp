@@ -141,12 +141,6 @@ class RNTree {
     bool dual_slot = true;
     /// Pool root slot holding the leftmost-leaf offset.
     int root_slot = 0;
-    /// COW SMO installs (src/inner): splits publish an out-of-place parent
-    /// copy via a short HTM-validated pointer swap.  Off = every SMO runs
-    /// the serialized whole-path rebuild (the pre-COW baseline, kept for
-    /// the before/after capacity-abort measurement and the linearizability
-    /// test's pre-COW leg).
-    bool cow_smo = true;
     /// Fallback-lock stripes (power of two in [1, 4096], see
     /// htm/stripe_table.hpp).  Leaf publishes run against the stripe
     /// covering their leaf and structural changes against a dedicated SMO
@@ -171,7 +165,7 @@ class RNTree {
       : pool_(pool),
         opt_(opt),
         stripes_(opt.fallback_stripes),
-        inner_(epochs_, opt.cow_smo, &stripes_.smo_stripe()) {
+        inner_(epochs_, &stripes_.smo_stripe()) {
     // Dirty-flag protocol: the clean flag must be cleared (and durable)
     // strictly before the first pool mutation, so a crash mid-construction
     // is always routed down the crash-recovery path.
@@ -188,30 +182,28 @@ class RNTree {
 
   /// Recover a tree from @p pool: reconstruction after a clean shutdown,
   /// full crash recovery (undo processing + counter rebuild) otherwise.
+  /// Throws std::runtime_error("RNTree::recover: <detail>") when the
+  /// persistent state is inconsistent.
   struct recover_t {};
   RNTree(recover_t, nvm::PmemPool& pool, Options opt = {})
-      : pool_(pool),
-        opt_(opt),
-        stripes_(opt.fallback_stripes),
-        inner_(epochs_, opt.cow_smo, &stripes_.smo_stripe()) {
-    // Capture the shutdown state, then clear the clean flag *before* any
-    // recovery-time NVM mutation (undo rollback) — see fresh ctor.
-    const bool crashed = !pool_.clean_shutdown();
-    pool_.mark_dirty();
-    recover(crashed);
+      : RNTree(recover_t{}, pool, begin_recovery(pool), opt) {
+    if (!recovery_status_.ok())
+      throw std::runtime_error(std::string("RNTree::recover: ") +
+                               recovery_detail_);
   }
 
   /// Recover with an externally sampled shutdown state.  A multi-tree pool
   /// owner (ShardedTree) must sample clean_shutdown() ONCE and mark the pool
   /// dirty ONCE before recovering each member tree — otherwise the first
   /// member's mark_dirty() would force every later member down the crash
-  /// path.  The caller owns the dirty/clean flag protocol.
+  /// path.  The caller owns the dirty/clean flag protocol.  Does not throw
+  /// on corruption: the outcome is in recovery_status().
   RNTree(recover_t, nvm::PmemPool& pool, bool crashed, Options opt)
       : pool_(pool),
         opt_(opt),
         stripes_(opt.fallback_stripes),
-        inner_(epochs_, opt.cow_smo, &stripes_.smo_stripe()) {
-    recover(crashed);
+        inner_(epochs_, &stripes_.smo_stripe()) {
+    recovery_status_ = recover_status(crashed);
   }
 
   /// Non-throwing recovery surface (the structured-Status contract of the
@@ -223,13 +215,15 @@ class RNTree {
   static std::unique_ptr<RNTree> recover_checked(nvm::PmemPool& pool,
                                                  common::Status& status,
                                                  Options opt = {}) {
-    const bool crashed = !pool.clean_shutdown();
-    pool.mark_dirty();
-    std::unique_ptr<RNTree> t(new RNTree(checked_t{}, pool, crashed, opt));
+    std::unique_ptr<RNTree> t(
+        new RNTree(recover_t{}, pool, begin_recovery(pool), opt));
     status = t->recovery_status_;
     if (!status.ok()) return nullptr;
     return t;
   }
+
+  /// Outcome of the recovery that built this tree (ok for a fresh tree).
+  common::Status recovery_status() const noexcept { return recovery_status_; }
 
   /// Human-readable corruption shape from the last (checked) recovery;
   /// empty when recovery succeeded.
@@ -944,26 +938,12 @@ class RNTree {
   // Recovery (S5.4)
   // ------------------------------------------------------------------
 
-  /// Throwing wrapper around recover_status: the recover_t ctors keep the
-  /// legacy contract (corrupt pool → std::runtime_error); the checked
-  /// factory surfaces the same result as a structured Status instead.
-  void recover(bool crashed) {
-    recovery_status_ = recover_status(crashed);
-    if (!recovery_status_.ok())
-      throw std::runtime_error(std::string("RNTree::recover: ") +
-                               recovery_detail_);
-  }
-
-  /// Tag ctor behind recover_checked: identical to the external-crashed
-  /// recover_t ctor except recovery failure lands in recovery_status_
-  /// instead of a throw.
-  struct checked_t {};
-  RNTree(checked_t, nvm::PmemPool& pool, bool crashed, Options opt)
-      : pool_(pool),
-        opt_(opt),
-        stripes_(opt.fallback_stripes),
-        inner_(epochs_, opt.cow_smo, &stripes_.smo_stripe()) {
-    recovery_status_ = recover_status(crashed);
+  /// Capture the shutdown state, then clear the clean flag *before* any
+  /// recovery-time NVM mutation (undo rollback) — see fresh ctor.
+  static bool begin_recovery(nvm::PmemPool& pool) {
+    const bool crashed = !pool.clean_shutdown();
+    pool.mark_dirty();
+    return crashed;
   }
 
   common::Status fail_recovery(const char* detail) {

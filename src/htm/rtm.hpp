@@ -128,10 +128,10 @@ inline bool bounded_lock_wait(SpinLock& fallback, const RetryPolicy& policy,
 
 /// Injected retry machine: one simulated HTM attempt loop driven by the
 /// installed AbortInjector.  Returns true when an attempt "committed" (fn
-/// ran, under @p fallback if provided); false when the policy demands the
-/// caller's fallback path.
+/// ran under @p fallback); false when the policy demands the caller's
+/// fallback path.
 template <typename Fn>
-bool run_injected(AbortInjector& inj, SpinLock* fallback, Fn& fn,
+bool run_injected(AbortInjector& inj, SpinLock& fallback, Fn& fn,
                   const RetryPolicy& policy, HtmStats& st) {
   Backoff conflict_bo;
   int spurious = 0;
@@ -142,14 +142,9 @@ bool run_injected(AbortInjector& inj, SpinLock* fallback, Fn& fn,
       // Simulated commit: mutual exclusion comes from the fallback lock
       // (the attempt cannot execute speculatively), durability modelling
       // from the simulated transaction bracket.
-      if (fallback != nullptr) {
-        SpinGuard g(*fallback);
-        TxGuard tx;
-        fn();
-      } else {
-        TxGuard tx;
-        fn();
-      }
+      SpinGuard g(fallback);
+      TxGuard tx;
+      fn();
       ++st.commits;
       return true;
     }
@@ -175,7 +170,7 @@ bool run_injected(AbortInjector& inj, SpinLock* fallback, Fn& fn,
         ++st.aborts_other;
         ++st.injected_lock_subscription;
         obs::heatmap_record(obs::HeatCause::kOther);
-        if (fallback != nullptr) bounded_lock_wait(*fallback, policy, st);
+        bounded_lock_wait(fallback, policy, st);
         break;
     }
   }
@@ -254,7 +249,7 @@ void atomic_exec(SpinLock& fallback, Fn&& fn,
   HtmStats& st = tls_htm_stats();
   if (AbortInjector* inj = abort_injector()) {
     obs::PhaseTimer pt(obs::Phase::kHtm);
-    if (detail::run_injected(*inj, &fallback, fn, policy, st)) return;
+    if (detail::run_injected(*inj, fallback, fn, policy, st)) return;
     ++st.fallbacks;
     obs::heatmap_record(obs::HeatCause::kFallback);
   }
@@ -275,75 +270,6 @@ void atomic_exec(SpinLock& fallback, Fn&& fn,
   detail::TxGuard tx;  // commit-or-abort on unwind (exception safety)
   std::forward<Fn>(fn)();
   ++st.commits;
-}
-
-/// Variant for callers that already hold an exclusive lock covering @p fn's
-/// write set (e.g. a leaf version-lock held across a slot publish): no
-/// fallback lock exists or is needed — writers are excluded by the caller's
-/// lock and readers validate via seqlock.  On TSX hardware fn runs inside a
-/// real RTM transaction (plain execution once the retry budget is spent);
-/// under an installed AbortInjector the injected retry machine runs; on the
-/// plain software path this is exactly the htm_tx_begin/fn/htm_tx_commit
-/// bracket it replaces (one relaxed injector load of added cost).
-template <typename Fn>
-void atomic_exec_excl(Fn&& fn,
-                      const RetryPolicy& policy = default_retry_policy()) {
-  if (AbortInjector* inj = abort_injector()) {
-    HtmStats& st = tls_htm_stats();
-    {
-      obs::PhaseTimer pt(obs::Phase::kHtm);
-      if (detail::run_injected(*inj, nullptr, fn, policy, st)) return;
-    }
-    ++st.fallbacks;
-    obs::heatmap_record(obs::HeatCause::kFallback);
-    detail::TxGuard tx;
-    std::forward<Fn>(fn)();
-    ++st.commits;
-    return;
-  }
-#if defined(RNTREE_HAVE_RTM)
-  if (rtm_supported() && nvm::shadow_active() == nullptr) {
-    HtmStats& st = tls_htm_stats();
-    {
-      obs::PhaseTimer pt(obs::Phase::kHtm);
-      Backoff conflict_bo;
-      int spurious = 0;
-      for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-        ++st.attempts;
-        const unsigned status = detail::xbegin();
-        if (status == detail::kXBeginStarted) {
-          fn();
-          detail::xend();
-          ++st.commits;
-          return;
-        }
-        if ((status & detail::kAbortCapacity) != 0) {
-          ++st.aborts_capacity;
-          obs::heatmap_record(obs::HeatCause::kCapacity);
-          break;
-        }
-        if ((status & detail::kAbortConflict) != 0) {
-          ++st.aborts_conflict;
-          obs::heatmap_record(obs::HeatCause::kConflict);
-          conflict_bo.pause();
-        } else {
-          ++st.aborts_other;
-          obs::heatmap_record(obs::HeatCause::kOther);
-          if ((status & detail::kAbortRetry) == 0 &&
-              ++spurious > policy.max_spurious_retries)
-            break;
-        }
-      }
-    }
-    ++st.fallbacks;
-    obs::heatmap_record(obs::HeatCause::kFallback);
-    fn();  // caller's exclusive lock makes plain execution safe
-    ++st.commits;
-    return;
-  }
-#endif
-  detail::TxGuard tx;
-  std::forward<Fn>(fn)();
 }
 
 }  // namespace rnt::htm

@@ -1,27 +1,21 @@
 // Transaction profile for copy-on-write SMO install transactions.
 //
-// RCU-HTM-style structure modifications (src/inner) build replacement nodes
-// out of place and publish them by swapping ONE pointer inside a short HTM
-// transaction that first re-validates the traversal path.  That install
-// transaction has a very different shape from the leaf-path transactions
-// rtm.hpp was tuned for:
+// Every structure modification (src/inner) builds its replacement nodes out
+// of place and publishes them by swapping ONE pointer inside a short HTM
+// transaction that first validates the recorded traversal path.  That
+// install transaction has a very different shape from the leaf-path
+// transactions rtm.hpp was tuned for:
 //
-//   * its write set is a single cache line (the swapped child slot), so a
-//     capacity abort means something is deeply wrong — no point retrying;
+//   * its write set is a single cache line (the swapped child slot or the
+//     root pointer), so a capacity abort means something is deeply wrong —
+//     no point retrying;
 //   * validation failure is expected under contention (a concurrent install
-//     republished part of the path) and is handled by the CALLER
-//     re-traversing, not by the retry machine — so the policy keeps the
-//     attempt budget short and falls back to the serialized path quickly
-//     instead of burning backoff cycles;
+//     republished part of the path) and is handled by the CALLER rebuilding
+//     from a fresh traversal, not by the retry machine — so the policy keeps
+//     the attempt budget short instead of burning backoff cycles;
 //   * aborts/fallbacks on this path are worth separating from the leaf
 //     path's when diagnosing a capacity-abort storm, hence the dedicated
 //     htm.smo.* counter family.
-//
-// The legacy serialized path (whole-path copy under the SMO fallback lock)
-// also runs its rebuild+swap as one transaction via atomic_exec_excl — that
-// models the paper's in-place large-footprint SMO and, with the injector's
-// footprint-scaled capacity weights (abort_inject.hpp), is the "before"
-// side of the capacity-abort measurement in EXPERIMENTS.md.
 #pragma once
 
 #include <optional>
@@ -35,7 +29,7 @@ namespace rnt::htm {
 /// Retry policy for COW install transactions: short attempt budget (path
 /// validation failures are resolved by re-traversing, not retrying in
 /// place), a single spurious retry, and a short bounded lock wait so an
-/// install racing a serialized SMO reaches its own fallback quickly.
+/// install racing a locked install round reaches its own fallback quickly.
 inline const RetryPolicy& smo_install_policy() noexcept {
   static const RetryPolicy p{/*max_attempts=*/4, /*max_spurious_retries=*/1,
                              /*lock_wait_pauses=*/32};
@@ -45,18 +39,13 @@ inline const RetryPolicy& smo_install_policy() noexcept {
 /// Cause counters for the COW SMO machinery, one registry family shared by
 /// every InnerTree instantiation (pattern of inner.* / htm.* counters).
 struct SmoCounters {
-  obs::Counter installs{"htm.smo.installs"};  ///< committed COW installs
+  obs::Counter installs{"htm.smo.installs"};  ///< committed installs
   obs::Counter root_installs{"htm.smo.root_installs"};  ///< swapped root_
-  /// Path validation failed inside the install transaction (a concurrent
-  /// install or serialized SMO republished part of the recorded path).
+  /// Path validation failed (a concurrent install republished part of the
+  /// recorded path); the round's copies are discarded and it starts over.
   obs::Counter validation_failures{"htm.smo.validation_failures"};
-  /// Parent had no room — the split must propagate upward, handled by the
-  /// serialized whole-path fallback.
-  obs::Counter overflow_fallbacks{"htm.smo.overflow_fallbacks"};
-  /// Re-traversal budget exhausted; gave up on the fast path.
+  /// Lock-free rounds exhausted; the round ran holding the SMO lock.
   obs::Counter retry_fallbacks{"htm.smo.retry_fallbacks"};
-  /// Serialized whole-path SMOs executed (fallbacks + cow-disabled mode).
-  obs::Counter legacy_smos{"htm.smo.legacy_path"};
 };
 
 inline SmoCounters& smo_counters() {
@@ -65,8 +54,8 @@ inline SmoCounters& smo_counters() {
 }
 
 // ---------------------------------------------------------------------------
-// Install-transaction marker.  True on this thread while an SMO install (or
-// the legacy serialized SMO's transaction) is executing its atomic_exec.
+// Install-transaction marker.  True on this thread while an SMO install is
+// executing its atomic_exec.
 // Fault tests use it to aim abort storms at install transactions only
 // (differential FaultCowSmo mode, smo_stress capacity measurement).
 // ---------------------------------------------------------------------------

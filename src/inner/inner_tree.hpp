@@ -5,37 +5,33 @@
 // are NVM-resident.  The paper wraps traversal and internal-node updates in
 // HTM so that readers never block; mutating the inner nodes inside those
 // transactions is what inflates SMO write sets and triggers capacity-abort
-// storms at scale.  This implementation goes one step further and makes
-// every structure modification RCU-HTM style copy-on-write:
+// storms at scale.  Here every structure modification is RCU-HTM style
+// copy-on-write instead:
 //
 //   * find_leaf() descends an immutable snapshot reached from an atomic root
 //     pointer — wait-free, no validation, never blocks (the HTM-traversal
 //     equivalent).  Callers must hold an epoch::Guard for the duration.
-//   * insert_split() (the paper's htmTreeUpdate) first tries the COW fast
-//     path: record the descent path (node stack + child indexes, the
-//     rcu-htm traversal stack), build a replacement of the leaf's parent
-//     out of place, and INSTALL it with a short HTM transaction that
-//     re-validates every recorded link and swaps exactly one pointer — a
-//     one-cache-line write set, so install transactions essentially never
-//     capacity-abort.  The replaced node is retired through EBR strictly
-//     AFTER the swap.
-//   * When the fast path cannot apply (parent full so the split must
-//     propagate, validation keeps failing, or COW installs are disabled)
-//     the legacy serialized path runs: copy the whole root-to-parent path
-//     with the new separator spliced in, split overfull inner nodes, swap
-//     the root under the SMO fallback lock, and retire every replaced node.
-//     Its rebuild+swap executes as one transaction (atomic_exec_excl) with
-//     the whole-path write-set footprint declared to the abort injector —
-//     this is the measurable "in-place large-transaction SMO" baseline the
-//     COW install is compared against in EXPERIMENTS.md.
+//   * insert_split() (the paper's htmTreeUpdate) is one algorithm: record
+//     the descent path (node stack + child indexes, the rcu-htm traversal
+//     stack); rebuild bottom-up out of place, splitting each overflowing
+//     copy and splicing its (pushed key, right half) into a copy of the next
+//     ancestor, up to the first ancestor with room (or a new root); then
+//     INSTALL with a short HTM transaction that validates the recorded path
+//     and swaps exactly one pointer — that ancestor's slot in its parent, or
+//     root_.  The write set is one cache line, so installs essentially never
+//     capacity-abort.  Replaced nodes are retired through EBR strictly AFTER
+//     the swap; copies that were never published are deleted.
 //
-// Mutual exclusion between the two paths: install transactions run through
-// atomic_exec against smo_lock_, so they subscribe to the lock (an install
-// aborts while a serialized SMO holds it, and the injected/software tiers
-// commit under it).  The serialized path holds smo_lock_ for its entire
-// read-copy-swap window.  Published nodes are immutable except for child
-// slots of level>=1 nodes, which only install transactions re-point; a
-// stale parent is therefore always caught by the spine re-validation.
+// Validation.  Published nodes are immutable except for child slots of
+// level>=1 nodes, which installs re-point.  The install therefore checks
+// every recorded link, that the leaf's slot still holds the splitting leaf,
+// and every child slot of each cloned level>=1 node against the value the
+// clone copied — otherwise an install that landed on a sibling slot after
+// the copy was taken would be silently undone by our swap.
+//
+// Progress.  After kInstallRetries failed validations the round runs once
+// more while holding smo_lock_.  Install transactions subscribe to that lock
+// (atomic_exec), so nothing can republish the path under it.
 //
 // A reader can reach a leaf that has just split (its snapshot predates the
 // install); the owning trees resolve that B-link style via the persistent
@@ -51,6 +47,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hints.hpp"
 #include "epoch/ebr.hpp"
 #include "htm/rtm.hpp"
 #include "htm/smo.hpp"
@@ -83,25 +80,19 @@ class InnerTree {
   /// depth ~5 with 64-entry leaves, mirroring the paper's setup.
   static constexpr int kFanout = 16;
 
-  /// @p cow_install selects the COW fast path for splits (default).  false
-  /// routes every SMO through the serialized whole-path rebuild — the
-  /// pre-COW behaviour, kept for before/after measurement and the
-  /// linearizability test's pre-COW leg.  @p smo_lock, when given, replaces
-  /// the internal SMO fallback lock — the owning tree routes structural
-  /// changes through its stripe table's dedicated SMO stripe so leaf-path
-  /// and SMO fallbacks share one lock-order domain (stripe_table.hpp).
-  explicit InnerTree(epoch::EpochManager& epochs, bool cow_install = true,
+  /// @p smo_lock, when given, replaces the internal SMO fallback lock — the
+  /// owning tree routes structural changes through its stripe table's
+  /// dedicated SMO stripe so leaf-path and SMO fallbacks share one
+  /// lock-order domain (stripe_table.hpp).
+  explicit InnerTree(epoch::EpochManager& epochs,
                      htm::SpinLock* smo_lock = nullptr)
       : epochs_(epochs),
-        smo_lock_(smo_lock != nullptr ? *smo_lock : own_smo_lock_),
-        cow_install_(cow_install) {}
+        smo_lock_(smo_lock != nullptr ? *smo_lock : own_smo_lock_) {}
 
   ~InnerTree() { free_subtree(root_.load(std::memory_order_relaxed)); }
 
   InnerTree(const InnerTree&) = delete;
   InnerTree& operator=(const InnerTree&) = delete;
-
-  bool cow_install_enabled() const noexcept { return cow_install_; }
 
   /// Initialise with a single leaf covering the whole key space.
   void init_single(Leaf* leftmost) {
@@ -132,12 +123,20 @@ class InnerTree {
   /// Splice (separator, new_leaf) immediately to the right of @p old_leaf:
   /// the paper's htmTreeUpdate after a leaf split.  @p sep is the split key
   /// (minimum key of new_leaf's range).  The caller must hold an
-  /// epoch::Guard: the COW fast path reads path nodes outside any lock and
-  /// relies on the pin to keep concurrently retired nodes mapped.
+  /// epoch::Guard: the path is recorded and copied outside any lock and the
+  /// pin keeps concurrently retired nodes mapped.
   void insert_split(Key sep, Leaf* old_leaf, Leaf* new_leaf) {
     detail::counters().updates.inc();
-    if (cow_install_ && try_cow_install(sep, old_leaf, new_leaf)) return;
-    legacy_insert_split(sep, old_leaf, new_leaf);
+    for (int retry = 0; retry < kInstallRetries; ++retry)
+      if (try_install(sep, old_leaf, new_leaf, /*locked=*/false)) return;
+    htm::smo_counters().retry_fallbacks.inc();
+    // Under smo_lock_ validation can only fail while old_leaf is not linked
+    // yet — it is itself the new half of a split whose insert_split is still
+    // in flight — so drop the lock and let that install land.
+    for (Backoff bo;; bo.pause()) {
+      htm::SpinGuard lk(smo_lock_);
+      if (try_install(sep, old_leaf, new_leaf, /*locked=*/true)) return;
+    }
   }
 
   /// Rebuild from an ordered leaf chain.  @p leaves are all leaves left to
@@ -235,237 +234,150 @@ class InnerTree {
     }
   };
 
-  /// Deepest install path supported by the stack-recording fast path; a
-  /// fanout-16 tree covering 2^64 keys never reaches it.
+  /// Deepest path the stack-recording install supports; a fanout-16 tree
+  /// covering 2^64 keys never reaches it.
   static constexpr int kMaxInstallDepth = 24;
-  /// Re-traversal attempts before the fast path concedes to the serialized
-  /// one (each retry means a concurrent SMO republished part of our path).
+  /// Lock-free install rounds before the round runs under smo_lock_ (each
+  /// failure means a concurrent install republished part of our path).
   static constexpr int kInstallRetries = 3;
-  /// Cache lines one node spans — the per-node write-set footprint the
-  /// serialized whole-path SMO declares to the abort injector.
-  static constexpr unsigned kNodeLines =
-      static_cast<unsigned>((sizeof(Node) + 63) / 64);
 
-  // -------------------------------------------------------------------------
-  // COW fast path (rcu-htm): record the traversal stack, copy the parent out
-  // of place, validate + swap one pointer inside a short install transaction.
-  // -------------------------------------------------------------------------
-  bool try_cow_install(Key sep, Leaf* old_leaf, Leaf* new_leaf) {
+  /// One record/build/install round (rcu-htm).  Returns false when
+  /// validation failed; the unpublished copies are then deleted.  @p locked:
+  /// the caller holds smo_lock_, so validate+swap runs as plain code.
+  bool try_install(Key sep, Leaf* old_leaf, Leaf* new_leaf, bool locked) {
     htm::SmoCounters& smo = htm::smo_counters();
-    for (int retry = 0; retry < kInstallRetries; ++retry) {
-      // 1. Record the descent path: ancestors of the leaf's parent plus the
-      //    child index taken at each (the rcu-htm node_stack).
-      Node* stack[kMaxInstallDepth];
-      int idx[kMaxInstallDepth];
-      int depth = 0;
-      Node* n = root_.load(std::memory_order_acquire);
-      while (n->level > 0) {
-        if (depth >= kMaxInstallDepth) return false;
-        const int i = n->child_index(sep);
-        stack[depth] = n;
-        idx[depth] = i;
-        ++depth;
-        n = static_cast<Node*>(n->child(i));
-      }
-      Node* parent = n;
-      const int pidx = parent->child_index(sep);
-      if (parent->count >= kFanout) {
-        // No room: the split must propagate into the ancestors — that is
-        // the serialized path's multi-node job (one split in ~kFanout).
-        smo.overflow_fallbacks.inc();
-        return false;
-      }
-      if (parent->child(pidx) != old_leaf) {
-        // The parent was republished between the leaf split and now (or a
-        // concurrent install landed here); re-traverse.
-        smo.validation_failures.inc();
-        continue;
-      }
-
-      // 2. Build the replacement parent out of place in transient memory.
-      Node* copy = clone_with_splice(parent, pidx, sep, new_leaf);
-
-      // 3. Short install transaction: re-validate every recorded link, then
-      //    swap exactly one pointer.  Write set = one cache line, so the
-      //    injector (and real RTM) sees a minimal capacity profile.
-      bool installed = false;
-      {
-        htm::SmoInstallScope in_install;
-        htm::TxFootprint footprint(1);
-        htm::atomic_exec(
-            smo_lock_,
-            [&]() {
-              if (root_.load(std::memory_order_relaxed) !=
-                  (depth > 0 ? stack[0] : parent))
-                return;
-              for (int d = 0; d + 1 < depth; ++d)
-                if (stack[d]->children[idx[d]].load(std::memory_order_relaxed) !=
-                    stack[d + 1])
-                  return;
-              if (depth > 0 && stack[depth - 1]
-                                       ->children[idx[depth - 1]]
-                                       .load(std::memory_order_relaxed) != parent)
-                return;
-              if (parent->children[pidx].load(std::memory_order_relaxed) !=
-                  old_leaf)
-                return;
-              if (depth == 0)
-                root_.store(copy, std::memory_order_release);
-              else
-                stack[depth - 1]->children[idx[depth - 1]].store(
-                    copy, std::memory_order_release);
-              installed = true;
-            },
-            htm::smo_install_policy());
-      }
-      if (installed) {
-        smo.installs.inc();
-        if (depth == 0) smo.root_installs.inc();
-        // Retire strictly AFTER the swap (same discipline as the serialized
-        // path): until the install, `parent` is reachable from the current
-        // root and a fresh reader could still walk into it.
-        retire_node(parent);
-        return true;
-      }
-      delete copy;  // never published; no reader can hold it
+    // 1. Record the descent path: path[0] is the root, path[h - 1] the
+    //    leaf's level-0 parent, idx[d] the child index taken at path[d].
+    Node* path[kMaxInstallDepth];
+    int idx[kMaxInstallDepth];
+    int h = 0;
+    for (Node* n = root_.load(std::memory_order_acquire);;
+         n = static_cast<Node*>(n->child(idx[h - 1]))) {
+      assert(h < kMaxInstallDepth);
+      path[h] = n;
+      idx[h] = n->child_index(sep);
+      ++h;
+      if (n->level == 0) break;
+    }
+    Node* parent = path[h - 1];
+    const int pidx = idx[h - 1];
+    if (parent->child(pidx) != old_leaf) {
       smo.validation_failures.inc();
+      return false;
     }
-    smo.retry_fallbacks.inc();
-    return false;
-  }
 
-  /// Copy of @p n with (sep, new_leaf) spliced in right of child @p pidx.
-  /// Requires n->count < kFanout (the fast path's no-propagation case).
-  Node* clone_with_splice(const Node* n, int pidx, Key sep, Leaf* new_leaf) {
-    Node* copy = clone_node(n);
-    for (int j = copy->count; j > pidx; --j) copy->keys[j] = copy->keys[j - 1];
-    for (int j = copy->count + 1; j > pidx + 1; --j)
-      copy->children[j].store(
-          copy->children[j - 1].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    copy->keys[pidx] = sep;
-    copy->children[pidx + 1].store(new_leaf, std::memory_order_relaxed);
-    copy->count++;
-    return copy;
-  }
-
-  /// Field-wise copy (Node holds atomics, so no copy constructor).  The
-  /// source is a published, immutable node; the copy is private until its
-  /// install publishes it, so relaxed stores suffice — the installing
-  /// release store orders them for readers.
-  static Node* clone_node(const Node* n) {
-    Node* copy = new Node;
-    copy->count = n->count;
-    copy->level = n->level;
-    for (int i = 0; i < n->count; ++i) copy->keys[i] = n->keys[i];
-    for (int i = 0; i <= n->count; ++i)
-      copy->children[i].store(n->children[i].load(std::memory_order_acquire),
-                              std::memory_order_relaxed);
-    return copy;
-  }
-
-  // -------------------------------------------------------------------------
-  // Serialized whole-path rebuild: COW of the full root-to-parent path under
-  // the SMO fallback lock (which every install transaction subscribes to).
-  // Handles split propagation and root growth; also the cow_install_=false
-  // baseline.  The rebuild+swap runs as ONE transaction with the whole-path
-  // footprint declared, modelling the in-place large-write-set SMO the COW
-  // install replaces (the "before" of the capacity-abort measurement).
-  // -------------------------------------------------------------------------
-  void legacy_insert_split(Key sep, Leaf* old_leaf, Leaf* new_leaf) {
-    htm::smo_counters().legacy_smos.inc();
-    htm::SpinGuard lk(smo_lock_);
-    // Replaced nodes are collected and retired only AFTER the root swap
-    // below.  Retiring them inside the recursion would be a use-after-free
-    // window: retire() may run collect() inline, and until the swap the old
-    // path — stamped with the still-current epoch — remains reachable from
-    // the installed root, so a fresh reader could traverse a freed node.
-    // (Found by the TSan stress test.)
-    std::vector<Node*> replaced;
-    {
-      htm::SmoInstallScope in_install;
-      htm::TxFootprint footprint(
-          static_cast<unsigned>(std::max(height(), 1)) * kNodeLines);
-      htm::atomic_exec_excl(
-          [&] {
-            replaced.clear();  // exception-replay safety (injected CrashPoint)
-            Node* old_root = root_.load(std::memory_order_relaxed);
-            InsertResult r =
-                insert_rec(old_root, sep, old_leaf, new_leaf, replaced);
-            Node* new_root = r.left;
-            if (r.right != nullptr) {
-              new_root = new Node;
-              new_root->level = static_cast<std::int16_t>(r.left->level + 1);
-              new_root->count = 1;
-              new_root->keys[0] = r.pushed;
-              new_root->children[0].store(r.left, std::memory_order_relaxed);
-              new_root->children[1].store(r.right, std::memory_order_relaxed);
-            }
-            root_.store(new_root, std::memory_order_release);
-          },
-          htm::smo_install_policy());
-    }
-    for (Node* n : replaced) retire_node(n);
-  }
-
-  struct InsertResult {
-    Node* left;
-    Node* right;  ///< nullptr if the copied node did not split
-    Key pushed;
-  };
-
-  /// Copy @p n with (sep, new_leaf) inserted in the subtree; returns the
-  /// replacement (possibly split in two).  Every replaced node is pushed to
-  /// @p replaced — the caller retires them after publishing the new root.
-  InsertResult insert_rec(Node* n, Key sep, Leaf* old_leaf, Leaf* new_leaf,
-                          std::vector<Node*>& replaced) {
-    Node* copy = clone_node(n);
-    const int idx = n->child_index(sep);
-    if (n->level == 0) {
-      assert(n->child(idx) == old_leaf &&
-             "insert_split: separator does not land on the splitting leaf");
-      (void)old_leaf;
-      // Shift keys/children right of idx and splice the new separator.
-      for (int j = copy->count; j > idx; --j) copy->keys[j] = copy->keys[j - 1];
-      for (int j = copy->count + 1; j > idx + 1; --j)
-        copy->children[j].store(
-            copy->children[j - 1].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-      copy->keys[idx] = sep;
-      copy->children[idx + 1].store(new_leaf, std::memory_order_relaxed);
-      copy->count++;
-    } else {
-      InsertResult child = insert_rec(static_cast<Node*>(n->child(idx)), sep,
-                                      old_leaf, new_leaf, replaced);
-      copy->children[idx].store(child.left, std::memory_order_relaxed);
-      if (child.right != nullptr) {
-        for (int j = copy->count; j > idx; --j) copy->keys[j] = copy->keys[j - 1];
-        for (int j = copy->count + 1; j > idx + 1; --j)
-          copy->children[j].store(
-              copy->children[j - 1].load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-        copy->keys[idx] = child.pushed;
-        copy->children[idx + 1].store(child.right, std::memory_order_relaxed);
-        copy->count++;
+    // 2. Build bottom-up out of place.  Each overflowing copy splits and
+    //    its (pushed, right) is spliced into a copy of the next ancestor;
+    //    the first copy with room (or a new root) is the replacement `repl`
+    //    for path[top].  seen[d] holds the child slots path[d]'s clone read.
+    Node* fresh[2 * kMaxInstallDepth + 1];  // every unpublished node
+    int nfresh = 0;
+    void* seen[kMaxInstallDepth][kFanout + 1];
+    Key key = sep;
+    void* right = new_leaf;
+    Node* left = nullptr;  // replacement for path[top]'s child idx[top]
+    Node* repl = nullptr;
+    int top = h - 1;
+    for (; top >= 0; --top) {
+      Node* copy =
+          clone_with_splice(path[top], idx[top], left, key, right, seen[top]);
+      fresh[nfresh++] = copy;
+      if (copy->count <= kFanout) {
+        repl = copy;
+        break;
       }
+      left = copy;
+      right = fresh[nfresh++] = split_node(copy, &key);
     }
-    replaced.push_back(n);
-    if (copy->count <= kFanout) return {copy, nullptr, Key{}};
+    if (repl == nullptr) {  // the root split: grow a level
+      repl = fresh[nfresh++] = new Node;
+      repl->level = static_cast<std::int16_t>(left->level + 1);
+      repl->count = 1;
+      repl->keys[0] = key;
+      repl->children[0].store(left, std::memory_order_relaxed);
+      repl->children[1].store(right, std::memory_order_relaxed);
+    }
+    const int first = std::max(top, 0);  // shallowest replaced path node
 
-    // Split the overfull copy: left keeps `half` keys, the middle key is
-    // pushed up, the right node takes the rest.
-    const int half = copy->count / 2;
+    // 3. Install: validate, then swap exactly one pointer.
+    bool installed = false;
+    auto validate_and_swap = [&] {
+      if (root_.load(std::memory_order_relaxed) != path[0]) return;
+      for (int d = 0; d + 1 < h; ++d)
+        if (path[d]->children[idx[d]].load(std::memory_order_relaxed) !=
+            path[d + 1])
+          return;
+      if (parent->children[pidx].load(std::memory_order_relaxed) != old_leaf)
+        return;
+      for (int d = first; d + 1 < h; ++d)  // cloned level>=1 nodes
+        for (int j = 0; j <= path[d]->count; ++j)
+          if (path[d]->children[j].load(std::memory_order_relaxed) != seen[d][j])
+            return;
+      if (first == 0)
+        root_.store(repl, std::memory_order_release);
+      else
+        path[first - 1]->children[idx[first - 1]].store(
+            repl, std::memory_order_release);
+      installed = true;
+    };
+    if (locked) {
+      validate_and_swap();
+    } else {
+      htm::SmoInstallScope in_install;
+      htm::TxFootprint footprint(1);
+      htm::atomic_exec(smo_lock_, validate_and_swap, htm::smo_install_policy());
+    }
+
+    // 4. Retire strictly AFTER the swap: until then the replaced nodes are
+    //    reachable from the current root and a fresh reader could walk in.
+    if (!installed) {
+      for (int i = 0; i < nfresh; ++i) delete fresh[i];  // never published
+      smo.validation_failures.inc();
+      return false;
+    }
+    smo.installs.inc();
+    if (first == 0) smo.root_installs.inc();
+    for (int d = first; d < h; ++d) retire_node(path[d]);
+    return true;
+  }
+
+  /// Copy of @p n with child @p i replaced by @p left (when non-null) and
+  /// (key, right) spliced in to its right.  The copy may hold kFanout + 1
+  /// keys (the caller then splits it).  @p seen receives n's child slots as
+  /// read, for the install's validation.  The source is published, so its
+  /// keys are immutable; the copy is private until its install publishes it,
+  /// so relaxed stores suffice — the installing release store orders them.
+  static Node* clone_with_splice(const Node* n, int i, Node* left, Key key,
+                                 void* right, void** seen) {
+    Node* copy = new Node;
+    copy->level = n->level;
+    copy->count = static_cast<std::int16_t>(n->count + 1);
+    for (int j = 0; j < n->count; ++j) copy->keys[j < i ? j : j + 1] = n->keys[j];
+    copy->keys[i] = key;
+    for (int j = 0; j <= n->count; ++j) {
+      seen[j] = n->children[j].load(std::memory_order_acquire);
+      copy->children[j <= i ? j : j + 1].store(
+          j == i && left != nullptr ? left : seen[j], std::memory_order_relaxed);
+    }
+    copy->children[i + 1].store(right, std::memory_order_relaxed);
+    return copy;
+  }
+
+  /// Split the overfull private copy @p n: it keeps the left half, the
+  /// middle key goes to @p pushed and the right half to the returned node.
+  static Node* split_node(Node* n, Key* pushed) {
+    const int half = n->count / 2;
     Node* right = new Node;
-    right->level = copy->level;
-    right->count = static_cast<std::int16_t>(copy->count - half - 1);
-    const Key pushed = copy->keys[half];
-    for (int j = 0; j < right->count; ++j) right->keys[j] = copy->keys[half + 1 + j];
+    right->level = n->level;
+    right->count = static_cast<std::int16_t>(n->count - half - 1);
+    *pushed = n->keys[half];
+    for (int j = 0; j < right->count; ++j) right->keys[j] = n->keys[half + 1 + j];
     for (int j = 0; j <= right->count; ++j)
       right->children[j].store(
-          copy->children[half + 1 + j].load(std::memory_order_relaxed),
+          n->children[half + 1 + j].load(std::memory_order_relaxed),
           std::memory_order_relaxed);
-    copy->count = static_cast<std::int16_t>(half);
-    return {copy, right, pushed};
+    n->count = static_cast<std::int16_t>(half);
+    return right;
   }
 
   template <typename Fn>
@@ -493,13 +405,12 @@ class InnerTree {
 
   epoch::EpochManager& epochs_;
   std::atomic<Node*> root_{nullptr};
-  /// SMO fallback lock: install transactions subscribe to it (atomic_exec),
-  /// the serialized whole-path rebuild and bulk_load hold it outright.
+  /// SMO fallback lock: install transactions subscribe to it (atomic_exec);
+  /// the locked install round and bulk_load hold it outright.
   /// Standalone InnerTrees own theirs; trees with a stripe table pass their
   /// dedicated SMO stripe in, so the reference is the one true lock.
   htm::SpinLock own_smo_lock_;
   htm::SpinLock& smo_lock_;
-  const bool cow_install_;
 };
 
 }  // namespace rnt::inner

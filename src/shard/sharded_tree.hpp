@@ -110,6 +110,9 @@ class ShardedTree {
             " (was it created with fewer shards?)");
       shards_.push_back(std::make_unique<Tree>(
           typename Tree::recover_t{}, pool_, crashed, member_options(s)));
+      if (!shards_.back()->recovery_status().ok())
+        throw std::runtime_error(std::string("RNTree::recover: ") +
+                                 shards_.back()->recovery_detail());
     }
   }
 

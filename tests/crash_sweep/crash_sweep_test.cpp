@@ -105,30 +105,14 @@ TEST(CrashSweepObs, CountersAreRegistered) {
 
 // ---------------------------------------------------------------------------
 // COW SMO install sweep.  The typed InsertInnerSmoEveryCrashPoint above
-// already covers the COW install (cow_smo defaults on); these pin the two
-// variants it no longer reaches:
-//  - the install transaction racing INTO the fallback acquisition: scripted
-//    aborts (conflict, conflict, capacity) force every install through the
-//    retry tiers and onto the lock path while the leaf split's persists are
-//    in flight — then crash at every tracked NVM event.  Injection cannot
-//    change the event count: the inner rebuild touches no NVM and the
-//    "committed" attempt runs exactly once either way.
-//  - the pre-COW serialized SMO path (cow_smo=false), kept as the
-//    before/after baseline.
+// already covers the COW install; this pins the variant it no longer
+// reaches: the install transaction racing INTO the fallback acquisition.
+// Scripted aborts (conflict, conflict, capacity) force every install through
+// the retry tiers and onto the lock path while the leaf split's persists are
+// in flight — then crash at every tracked NVM event.  Injection cannot
+// change the event count: the inner rebuild touches no NVM and the
+// "committed" attempt runs exactly once either way.
 // ---------------------------------------------------------------------------
-
-struct RnTreeLegacySmoAdapter : RnTreeAdapter<true> {
-  static constexpr const char* kName = "rntree-legacy-smo";
-  static std::unique_ptr<Tree> make(nvm::PmemPool& p) {
-    return std::make_unique<Tree>(
-        p, typename Tree::Options{.dual_slot = true, .cow_smo = false});
-  }
-  static std::unique_ptr<Tree> recover(nvm::PmemPool& p) {
-    return std::make_unique<Tree>(
-        typename Tree::recover_t{}, p,
-        typename Tree::Options{.dual_slot = true, .cow_smo = false});
-  }
-};
 
 using CrashSweepCowSmo = CrashSweepT<RnTreeAdapter<true>>;
 
@@ -155,12 +139,6 @@ TEST_F(CrashSweepCowSmo, InstallRacingFallbackRandomEviction) {
   sweep_scenario<A>(make_scenario<A>(OpClass::kInsertInnerSmo),
                     nvm::EvictionMode::kRandomEviction, 3);
   EXPECT_GT(script.injected(), 0u);
-}
-
-TEST_F(CrashSweepCowSmo, LegacySmoPathEveryCrashPoint) {
-  using A = RnTreeLegacySmoAdapter;
-  sweep_scenario<A>(make_scenario<A>(OpClass::kInsertInnerSmo),
-                    nvm::EvictionMode::kNone, 0);
 }
 
 // ---------------------------------------------------------------------------

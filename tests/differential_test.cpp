@@ -456,20 +456,6 @@ struct RnStripeAdapter {
   }
 };
 
-// Pre-COW serialized SMO path (cow_smo=false): baseline for the SMO abort
-// storm legs.
-struct RnLegacySmoAdapter {
-  static RN::Options opts() {
-    return {.dual_slot = true, .root_slot = 0, .cow_smo = false};
-  }
-  static std::unique_ptr<RN> make(nvm::PmemPool& p) {
-    return std::make_unique<RN>(p, opts());
-  }
-  static std::unique_ptr<RN> recover(nvm::PmemPool& p) {
-    return std::make_unique<RN>(RN::recover_t{}, p, opts());
-  }
-};
-
 template <typename T>
 struct PlainAdapter {
   static std::unique_ptr<T> make(nvm::PmemPool& p) {
@@ -569,10 +555,6 @@ TEST_F(DifferentialTest, FaultCowSmoDualSlot) {
 TEST_F(DifferentialTest, FaultCowSmoSingleSlot) {
   run_fault_differential<RnAdapter<false>>("rntree-single-smostorm",
                                            FaultMode::kSmoAbortStorm);
-}
-TEST_F(DifferentialTest, FaultCowSmoLegacyPath) {
-  run_fault_differential<RnLegacySmoAdapter>("rntree-legacy-smostorm",
-                                             FaultMode::kSmoAbortStorm);
 }
 
 // Stripe storms: 800-permille seeded aborts aimed ONLY at transactions

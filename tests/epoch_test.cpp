@@ -133,7 +133,9 @@ TEST(Epoch, ManyConcurrentGuards) {
 TEST(Epoch, StressReadersNeverTouchFreedMemory) {
   // Writers repeatedly swap a shared node and retire the old one; readers
   // dereference under a guard.  Freed nodes are poisoned; readers must never
-  // observe the poison through a validly acquired pointer.
+  // observe the poison through a validly acquired pointer.  The poison is a
+  // value the writer's counter cannot reach, so a live node never matches.
+  constexpr std::uint64_t kPoison = ~0ull;
   struct Node {
     std::atomic<std::uint64_t> value{0};
   };
@@ -150,7 +152,7 @@ TEST(Epoch, StressReadersNeverTouchFreedMemory) {
       fresh->value = v++;
       Node* old = shared.exchange(fresh, std::memory_order_acq_rel);
       mgr.retire([old] {
-        old->value.store(0xDEAD, std::memory_order_relaxed);
+        old->value.store(kPoison, std::memory_order_relaxed);
         delete old;
       });
     }
@@ -161,7 +163,7 @@ TEST(Epoch, StressReadersNeverTouchFreedMemory) {
       while (!stop.load(std::memory_order_relaxed)) {
         Guard g = mgr.pin();
         Node* n = shared.load(std::memory_order_acquire);
-        if (n->value.load(std::memory_order_relaxed) == 0xDEAD)
+        if (n->value.load(std::memory_order_relaxed) == kPoison)
           poisoned_reads.fetch_add(1);
       }
     });

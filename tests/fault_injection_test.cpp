@@ -191,31 +191,6 @@ TEST(AbortInjection, StalledLockHolderDegradesWithoutLivelock) {
   EXPECT_GE(agg.lock_wait_timeouts, 1u);
 }
 
-TEST(AbortInjection, ExclusiveVariantRunsTheSameMachine) {
-  {  // Conflict retries, then transactional commit.
-    ScriptedAbortInjector inj({AbortCause::kConflict});
-    ScopedAbortInjector scope(&inj);
-    int ran = 0;
-    const HtmStats d = stats_delta([&] { htm::atomic_exec_excl([&] { ++ran; }); });
-    EXPECT_EQ(ran, 1);
-    EXPECT_EQ(d.attempts, 2u);
-    EXPECT_EQ(d.injected_conflict, 1u);
-    EXPECT_EQ(d.fallbacks, 0u);
-  }
-  {  // Capacity: the fallback is plain execution (the caller's lock already
-     // excludes writers), run exactly once.
-    ScriptedAbortInjector inj({AbortCause::kCapacity});
-    ScopedAbortInjector scope(&inj);
-    int ran = 0;
-    const HtmStats d = stats_delta([&] { htm::atomic_exec_excl([&] { ++ran; }); });
-    EXPECT_EQ(ran, 1);
-    EXPECT_EQ(d.injected_capacity, 1u);
-    EXPECT_EQ(d.fallbacks, 1u);
-    EXPECT_EQ(d.commits, 1u);
-    EXPECT_EQ(d.lock_acquisitions, 0u);  // no lock exists on this path
-  }
-}
-
 TEST(AbortInjection, MutualExclusionHoldsUnderRandomInjection) {
   // 4 threads increment a PLAIN integer through atomic_exec while a random
   // injector aborts ~35% of attempts across every cause.  Any hole in the

@@ -11,11 +11,11 @@
 // hash); inserted values are unique per (thread, seq), which prunes the
 // search hard — a find's result pins which insert preceded it.
 //
-// Three concurrent legs: the COW SMO install path (cow_smo=true), the
-// pre-COW serialized path (cow_smo=false), and COW under a seeded abort
-// storm targeted at install transactions (SmoTargetedInjector) — the
-// install retry/fallback machine must stay linearizable when every tier
-// gets exercised.  Plus checker self-tests on hand-built histories,
+// Three concurrent legs: a split-heavy mix (COW SMO installs racing the
+// recorded operations), a hot-key mix, and the split-heavy mix under a
+// seeded abort storm targeted at install transactions (SmoTargetedInjector)
+// — the install retry/fallback machine must stay linearizable when every
+// tier gets exercised.  Plus checker self-tests on hand-built histories,
 // including a non-linearizable one the checker must reject.
 #include <gtest/gtest.h>
 
@@ -331,27 +331,18 @@ TEST(Linearizability, CowSmoHistorySplitHeavy) {
   // Wide keyspace on a fresh tree: the insert-heavy mix splits leaves
   // constantly, so COW installs race the recorded operations throughout.
   nvm::PmemPool pool(std::size_t{128} << 20);
-  Tree tree(pool, {.dual_slot = true, .root_slot = 0, .cow_smo = true});
+  Tree tree(pool, {.dual_slot = true, .root_slot = 0});
   const History h = record_history(tree, 4, 300, 4096, 0x11CE);
-  expect_linearizable(h, "cow_smo split-heavy");
-}
-
-TEST(Linearizability, LegacySmoHistorySplitHeavy) {
-  // Same mix through the pre-COW serialized SMO path: the rewrite must not
-  // have been load-bearing for correctness in either direction.
-  nvm::PmemPool pool(std::size_t{128} << 20);
-  Tree tree(pool, {.dual_slot = true, .root_slot = 0, .cow_smo = false});
-  const History h = record_history(tree, 4, 300, 4096, 0x2BAD);
-  expect_linearizable(h, "legacy split-heavy");
+  expect_linearizable(h, "split-heavy");
 }
 
 TEST(Linearizability, CowSmoHistoryHotKeys) {
   // Small hot set: maximum result-level contention (racing inserts/removes
   // on the same keys), little structural churn.
   nvm::PmemPool pool(std::size_t{64} << 20);
-  Tree tree(pool, {.dual_slot = true, .root_slot = 0, .cow_smo = true});
+  Tree tree(pool, {.dual_slot = true, .root_slot = 0});
   const History h = record_history(tree, 4, 250, 96, 0x5EED);
-  expect_linearizable(h, "cow_smo hot keys");
+  expect_linearizable(h, "hot keys");
 }
 
 TEST(Linearizability, CowSmoHistoryUnderInstallAbortStorm) {
@@ -363,9 +354,9 @@ TEST(Linearizability, CowSmoHistoryUnderInstallAbortStorm) {
   htm::ScopedAbortInjector scope(&smo_only);
 
   nvm::PmemPool pool(std::size_t{128} << 20);
-  Tree tree(pool, {.dual_slot = true, .root_slot = 0, .cow_smo = true});
+  Tree tree(pool, {.dual_slot = true, .root_slot = 0});
   const History h = record_history(tree, 4, 300, 2048, 0xAB0);
-  expect_linearizable(h, "cow_smo under install abort storm");
+  expect_linearizable(h, "under install abort storm");
 }
 
 }  // namespace

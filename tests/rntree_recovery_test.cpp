@@ -88,8 +88,8 @@ TEST(RntreeRecoveryTest, TornSlotMetadataIsCorrupted) {
 }
 
 TEST(RntreeRecoveryTest, CorruptionShapesHaveDistinctDetails) {
-  // Run the three shapes through the throwing ctor path too: recover(bool)
-  // throws with the detail string embedded, and each shape reads
+  // Run the three shapes through the throwing ctor path too: the recover_t
+  // ctor throws with the detail string embedded, and each shape reads
   // differently (tooling and humans can tell them apart).
   std::vector<std::string> details;
   for (int shape = 0; shape < 3; ++shape) {

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -142,6 +144,27 @@ TEST_F(ShardedTreeTest, RecoverWithMissingRootThrows) {
   pool.reopen_volatile();
   // The pool was created with 2 shards; shard 2's root slot is empty.
   EXPECT_THROW(SH(SH::recover_t{}, pool, {.shards = 4}), std::runtime_error);
+}
+
+TEST_F(ShardedTreeTest, RecoverWithCorruptedMemberThrows) {
+  nvm::PmemPool pool(std::size_t{64} << 20);
+  {
+    SH tree(pool, {.shards = 2});
+    for (std::uint64_t k = 0; k < 4000; ++k) ASSERT_TRUE(tree.insert(k, k));
+    tree.close();
+  }
+  pool.reopen_volatile();
+  // Break shard 1's high_key chain: its first leaf must carry a high key.
+  auto* leaf = pool.ptr<SH::Leaf>(pool.root(1));
+  ASSERT_NE(leaf->next.load(), 0u) << "shard too small to have split";
+  leaf->has_high.store(0);
+  try {
+    SH rec(SH::recover_t{}, pool, {.shards = 2});
+    FAIL() << "corrupted member recovered without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("RNTree::recover: ", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST_F(ShardedTreeTest, CleanCloseRecoverRoundTrip) {

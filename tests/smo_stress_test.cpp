@@ -7,11 +7,12 @@
 //     sequential oracle.
 //  2. Full-tree concurrent inserts through RNTree, driving real leaf
 //     splits -> COW installs under contention.
-//  3. The PR's headline measurement: on an insert-only workload with a
-//     seeded abort injector targeted at SMO install transactions, COW
-//     installs must cut htm.aborts_capacity by >3x vs the serialized
-//     whole-path rebuild (footprint 1 cache line vs height * node lines).
-//     EXPERIMENTS.md quotes this test's printed numbers; repro with
+//  3. The capacity-abort measurement: on an insert-only workload with a
+//     seeded abort injector targeted at SMO install transactions, every
+//     SMO is a one-line install, so htm.aborts_capacity stays at or below
+//     the count measured when propagating splits still took a whole-path
+//     transaction.  EXPERIMENTS.md quotes this test's printed numbers;
+//     repro with
 //       ./build/tests/smo_stress_test --gtest_filter=*CapacityAborts*
 #include <gtest/gtest.h>
 
@@ -162,15 +163,9 @@ TEST(SmoStress, ConcurrentRnTreeInsertsSurviveCowSmos) {
   EXPECT_GT(counter_now("htm.smo.installs") - installs0, 100u);
 }
 
-// --- 3. the measurement: capacity aborts, COW on vs off ---------------------
+// --- 3. the measurement: capacity aborts under an install abort storm ------
 
-struct SmoAbortStats {
-  std::uint64_t capacity = 0;
-  std::uint64_t installs = 0;
-  std::uint64_t legacy = 0;
-};
-
-SmoAbortStats run_insert_only(bool cow_smo) {
+TEST(SmoStress, CapacityAbortsDropWithCowInstall) {
   // Seeded injector targeted at SMO install transactions only: leaf-path
   // transactions never see it, so the delta below is pure SMO footprint.
   htm::RandomAbortInjector rnd(0xC0FFEE, /*permille=*/500);
@@ -178,48 +173,31 @@ SmoAbortStats run_insert_only(bool cow_smo) {
   htm::ScopedAbortInjector scope(&smo_only);
 
   nvm::PmemPool pool(std::size_t{128} << 20);
-  Tree tree(pool, {.dual_slot = true, .root_slot = 0, .cow_smo = cow_smo});
+  Tree tree(pool, {.dual_slot = true, .root_slot = 0});
 
   const obs::Snapshot before = obs::snapshot();
   for (std::uint64_t i = 0; i < 40000; ++i) {
     if (!tree.insert(i, i)) ADD_FAILURE() << "insert " << i;
   }
   const obs::Snapshot after = obs::snapshot();
+  auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const std::uint64_t capacity = delta("htm.aborts_capacity");
+  const std::uint64_t installs = delta("htm.smo.installs");
+  const std::uint64_t updates = delta("inner.updates");
+  std::printf("[ smo-capacity ] capacity=%llu installs=%llu updates=%llu\n",
+              static_cast<unsigned long long>(capacity),
+              static_cast<unsigned long long>(installs),
+              static_cast<unsigned long long>(updates));
 
-  SmoAbortStats s;
-  s.capacity =
-      after.counter("htm.aborts_capacity") - before.counter("htm.aborts_capacity");
-  s.installs =
-      after.counter("htm.smo.installs") - before.counter("htm.smo.installs");
-  s.legacy = after.counter("htm.smo.legacy_path") -
-             before.counter("htm.smo.legacy_path");
-  return s;
-}
-
-TEST(SmoStress, CapacityAbortsDropWithCowInstall) {
-  const SmoAbortStats legacy = run_insert_only(/*cow_smo=*/false);
-  const SmoAbortStats cow = run_insert_only(/*cow_smo=*/true);
-
-  std::printf("[ smo-capacity ] legacy: capacity=%llu installs=%llu "
-              "legacy_path=%llu\n",
-              static_cast<unsigned long long>(legacy.capacity),
-              static_cast<unsigned long long>(legacy.installs),
-              static_cast<unsigned long long>(legacy.legacy));
-  std::printf("[ smo-capacity ] cow:    capacity=%llu installs=%llu "
-              "legacy_path=%llu\n",
-              static_cast<unsigned long long>(cow.capacity),
-              static_cast<unsigned long long>(cow.installs),
-              static_cast<unsigned long long>(cow.legacy));
-
-  // The serialized rebuild declares height*kNodeLines of write set; COW
-  // installs declare one line.  Same workload, same injection seed.  The
-  // measured cut is ~3x (see EXPERIMENTS.md); gate at 2x so node-layout
-  // tweaks that shift the footprint ratio don't flake the suite.
-  ASSERT_GT(legacy.capacity, 0u);
-  EXPECT_LT(cow.capacity * 2, legacy.capacity)
-      << "COW installs should cut capacity aborts by >2x";
-  EXPECT_EQ(legacy.installs, 0u);
-  EXPECT_GT(cow.installs, 0u);
+  // Every SMO — propagating splits and root growth included — is one
+  // install declaring a one-line write set.  152 is what this workload and
+  // seed measured when propagating splits still ran the serialized
+  // whole-path rebuild (462 with every SMO on that rebuild).
+  EXPECT_LE(capacity, 152u);
+  EXPECT_GT(installs, 0u);
+  EXPECT_EQ(installs, updates) << "every insert_split ends in one install";
 }
 
 // --- counter export ---------------------------------------------------------
@@ -231,8 +209,7 @@ TEST(SmoStress, SmoCountersAreRegistered) {
   const obs::Snapshot snap = obs::snapshot();
   for (const char* name :
        {"htm.smo.installs", "htm.smo.root_installs",
-        "htm.smo.validation_failures", "htm.smo.overflow_fallbacks",
-        "htm.smo.retry_fallbacks", "htm.smo.legacy_path"}) {
+        "htm.smo.validation_failures", "htm.smo.retry_fallbacks"}) {
     bool found = false;
     for (const auto& [n, v] : snap.counters)
       if (n == name) { found = true; break; }

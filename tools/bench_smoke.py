@@ -268,8 +268,7 @@ def validate_smo(doc):
     smo = {k: v for k, v in counters.items() if k.startswith("htm.smo.")}
     expect(smo, "no htm.smo.* counters in export")
     for k in ("htm.smo.installs", "htm.smo.validation_failures",
-              "htm.smo.overflow_fallbacks", "htm.smo.retry_fallbacks",
-              "htm.smo.legacy_path"):
+              "htm.smo.retry_fallbacks"):
         expect(k in counters, f"counter {k!r} missing from export")
     expect(counters["htm.smo.installs"] >= 1,
            "htm.smo.installs is 0 — no COW install committed during smoke")
