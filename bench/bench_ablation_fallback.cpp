@@ -1,31 +1,21 @@
 // Ablation: striped vs global HTM fallback locking under a capacity-abort
-// storm (the robustness tentpole; see DESIGN.md §9).
+// storm (the paper's global-lock ablation; see DESIGN.md §9).
 //
-// Panel 1 (DES, deterministic): 16 simulated threads, update-only, with 30%
-// of traffic skewed onto one hot leaf set (the leaves sharing the storm
-// key's stripe under the fixed 64-way reference mapping).  Hot publishes
-// capacity-abort at permille 800 and escalate to the CONFIGURED stripe's
-// fallback lock, held across the slot flush.  With one global stripe every
-// cold publish subscribes to that same lock and throughput collapses; with
-// 64 stripes only the hot set serializes.  The cold-op ratio (storm / calm)
-// for each configuration is exported as meta.storm_cold_ratio_{striped,
-// global}; tools/bench_smoke.py --fallback-storm asserts striped >= 0.5 and
-// global strictly worse — deterministic, so it holds on any host.
+// Deterministic DES: 16 simulated threads, update-only, with 30% of traffic
+// skewed onto one hot leaf set (the leaves sharing the storm key's stripe
+// under the fixed 64-way reference mapping).  Hot publishes capacity-abort
+// at permille 800 and escalate to the CONFIGURED stripe's fallback lock,
+// held across the slot flush.  With one global stripe every cold publish
+// subscribes to that same lock and throughput collapses; with 64 stripes
+// only the hot set serializes.  The cold-op ratio (storm / calm) for each
+// configuration is exported as meta.storm_cold_ratio_{striped,global};
+// tools/bench_smoke.py --fallback-storm asserts striped >= 0.5 and global
+// strictly worse — deterministic, so it holds on any host.
 //
-// Panel 2 (real tree, injected aborts): two storm threads hammer one hot
-// key under a StripeStormInjector that fires capacity aborts only on
-// transactions whose StripeScope targets the hot key's stripe; four cold
-// threads update uniform keys.  Cold ops/s is measured calm vs storm at
-// fallback_stripes = 1 and 64.  Timing-based (evidence for EXPERIMENTS.md,
-// not asserted by the smoke).
-#include <atomic>
-#include <optional>
-#include <thread>
-
+// The real tree has no striped table to compare: its publishes fall back
+// under the leaf's own version lock, so a storm on one leaf never holds a
+// lock any other leaf's publish waits for.
 #include "bench_common.hpp"
-#include "core/rntree.hpp"
-#include "htm/abort_inject.hpp"
-#include "htm/stripe_table.hpp"
 #include "sim/models.hpp"
 
 namespace {
@@ -61,68 +51,6 @@ double cold_ratio(const sim::SimResult& storm, const sim::SimResult& calm) {
              : 0.0;
 }
 
-struct RealLeg {
-  double cold_calm = 0.0;   ///< cold ops/s, no injection
-  double cold_storm = 0.0;  ///< cold ops/s, storm on the hot stripe
-};
-
-double real_run(core::RNTree<>& tree, std::uint64_t warm, double secs,
-                bool storm, unsigned hot_stripe, std::uint64_t seed) {
-  // Capacity-only aborts: every injected abort is the hopeless kind, so the
-  // hot stripe's publishes escalate to its fallback lock at permille rate.
-  htm::RandomAbortInjector::Weights w;
-  w.conflict = 0;
-  w.capacity = 1;
-  w.spurious = 0;
-  w.lock_subscription = 0;
-  htm::RandomAbortInjector inject(seed, 800, w);
-  htm::StripeStormInjector stormer(inject, static_cast<int>(hot_stripe));
-  std::optional<htm::ScopedAbortInjector> scoped;
-  if (storm) scoped.emplace(&stormer);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> cold_ops{0};
-  std::vector<std::thread> ts;
-  const std::uint64_t hot_key = nth_key(1);
-  for (int s = 0; s < 2; ++s)
-    ts.emplace_back([&tree, &stop, hot_key] {
-      std::uint64_t v = 0;
-      while (!stop.load(std::memory_order_relaxed)) tree.update(hot_key, ++v);
-    });
-  for (int c = 0; c < 4; ++c)
-    ts.emplace_back([&tree, &stop, &cold_ops, warm, seed, c] {
-      Xoshiro256 rng(seed * 31 + static_cast<std::uint64_t>(c) + 1);
-      std::uint64_t n = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        tree.update(nth_key(2 + rng.next_below(warm - 2)), n);
-        ++n;
-      }
-      cold_ops.fetch_add(n, std::memory_order_relaxed);
-    });
-  const std::uint64_t t0 = now_ns();
-  while (now_ns() - t0 < static_cast<std::uint64_t>(secs * 1e9))
-    std::this_thread::yield();
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : ts) t.join();
-  const double elapsed = static_cast<double>(now_ns() - t0) * 1e-9;
-  return static_cast<double>(cold_ops.load()) / elapsed;
-}
-
-RealLeg real_leg(const BenchOptions& opt, unsigned stripes) {
-  nvm::PmemPool pool(opt.pool_size());
-  core::RNTree<>::Options topt;
-  topt.fallback_stripes = stripes;
-  core::RNTree<> tree(pool, topt);
-  for (std::uint64_t i = 0; i < opt.warm; ++i) tree.upsert(nth_key(i), i);
-  const unsigned hot_stripe = tree.stripe_of_key(nth_key(1));
-  RealLeg leg;
-  leg.cold_calm =
-      real_run(tree, opt.warm, opt.seconds, false, hot_stripe, opt.seed);
-  leg.cold_storm =
-      real_run(tree, opt.warm, opt.seconds, true, hot_stripe, opt.seed);
-  return leg;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,7 +58,6 @@ int main(int argc, char** argv) {
   opt.apply_nvm_config();
   const unsigned striped = opt.stripes != 0 ? opt.stripes : 64u;
 
-  // --- Panel 1: deterministic DES ---
   const sim::SimResult g_calm = storm_run(opt, 1, false);
   const sim::SimResult g_storm = storm_run(opt, 1, true);
   const sim::SimResult s_calm =
@@ -155,21 +82,6 @@ int main(int argc, char** argv) {
   print_note("cold = ops outside the hot leaf set (fixed 64-way reference)");
   print_note("striped keeps cold traffic >= 0.5x calm; global collapses");
 
-  // --- Panel 2: real tree with targeted abort injection ---
-  const RealLeg rg = real_leg(opt, 1);
-  const RealLeg rs = real_leg(opt, striped);
-  const double real_ratio_global =
-      rg.cold_calm > 0.0 ? rg.cold_storm / rg.cold_calm : 0.0;
-  const double real_ratio_striped =
-      rs.cold_calm > 0.0 ? rs.cold_storm / rs.cold_calm : 0.0;
-  print_header("Real tree, StripeStormInjector on the hot key's stripe",
-               {"calm-cold/s", "storm-cold/s", "ratio"});
-  print_row("global (1)", {rg.cold_calm, rg.cold_storm, real_ratio_global},
-            "%14.2f");
-  print_row("striped (" + std::to_string(striped) + ")",
-            {rs.cold_calm, rs.cold_storm, real_ratio_striped}, "%14.2f");
-  print_note("timing-based: evidence only, the smoke asserts the DES panel");
-
   auto num = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.4f", v);
@@ -178,8 +90,6 @@ int main(int argc, char** argv) {
   export_stats(opt, "ablation_fallback",
                {{"storm_cold_ratio_striped", num(ratio_striped), true},
                 {"storm_cold_ratio_global", num(ratio_global), true},
-                {"storm_stripes", std::to_string(striped), true},
-                {"real_cold_ratio_striped", num(real_ratio_striped), true},
-                {"real_cold_ratio_global", num(real_ratio_global), true}});
+                {"storm_stripes", std::to_string(striped), true}});
   return 0;
 }

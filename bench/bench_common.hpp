@@ -53,7 +53,6 @@
 
 #include "common/rng.hpp"
 #include "common/timing.hpp"
-#include "htm/stripe_table.hpp"
 #include "nvm/persist.hpp"
 #include "nvm/pool.hpp"
 #include "obs/buildinfo.hpp"
@@ -66,6 +65,15 @@
 #include "workload/ycsb.hpp"
 
 namespace rnt::bench {
+
+/// --stripes=N bounds: the DES's per-shard fallback-lock stripes
+/// (sim::SimConfig::fallback_stripes) are a power of two in this range.
+inline constexpr std::uint32_t kMinStripes = 1;
+inline constexpr std::uint32_t kMaxStripes = 4096;
+
+inline bool stripes_valid(std::uint32_t n) noexcept {
+  return n >= kMinStripes && n <= kMaxStripes && (n & (n - 1)) == 0;
+}
 
 struct BenchOptions {
   std::uint64_t warm = 200'000;
@@ -94,8 +102,8 @@ struct BenchOptions {
   /// --batch=K group-persistency batch size (modifies per trailing fence);
   /// 1 = eager persists (the paper's Table-1 profile).
   std::uint32_t batch = 1;
-  /// --stripes=N fallback-lock stripes for benches with a striping panel
-  /// (power of two in [1, 4096]); 0 = bench/tree default.
+  /// --stripes=N simulated fallback-lock stripes for benches with a DES
+  /// striping panel (power of two in [1, 4096]); 0 = bench default.
   std::uint32_t stripes = 0;
   /// --recovery-workers=N parallel-recovery workers for the fig7 panels;
   /// 0 = tree default (auto).
@@ -119,11 +127,10 @@ struct BenchOptions {
                  "  --heatmap-mode=M   heatmap bucketing: key (default) or leaf\n"
                  "  --shards=N         shard count (power of two, 1-%d)\n"
                  "  --batch=K          group-persistency batch size (modifies per fence)\n"
-                 "  --stripes=N        fallback-lock stripes (power of two, %u-%u)\n"
+                 "  --stripes=N        simulated fallback-lock stripes (power of two, %u-%u)\n"
                  "  --recovery-workers=N  parallel-recovery workers (fig7 panels)\n",
                  argv0, obs::kHeatmapMinBuckets, obs::kHeatmapMaxBuckets,
-                 nvm::PmemPool::kNumRoots, htm::kMinFallbackStripes,
-                 htm::kMaxFallbackStripes);
+                 nvm::PmemPool::kNumRoots, kMinStripes, kMaxStripes);
   }
 
   /// Strict positive-integer flag value: the whole string must be digits and
@@ -206,12 +213,11 @@ struct BenchOptions {
         }
       } else if (const char* v = val("--stripes=")) {
         if (!parse_positive_u32(v, &o.stripes) ||
-            !htm::stripe_valid_count(o.stripes)) {
+            !stripes_valid(o.stripes)) {
           std::fprintf(stderr,
                        "%s: --stripes wants a power of two in [%u, %u], "
                        "got '%s'\n",
-                       argv[0], htm::kMinFallbackStripes,
-                       htm::kMaxFallbackStripes, v);
+                       argv[0], kMinStripes, kMaxStripes, v);
           usage(argv[0]);
           std::exit(2);
         }

@@ -90,7 +90,7 @@ void BM_AtomicExec(benchmark::State& state) {
   htm::SpinLock fb;
   std::uint64_t x = 0;
   for (auto _ : state) {
-    htm::atomic_exec(fb, [&] { ++x; });
+    htm::atomic_exec(&fb, [&] { ++x; });
   }
   benchmark::DoNotOptimize(x);
 }
@@ -203,18 +203,12 @@ std::uint64_t persist_mode_of(Fn&& op) {
   return best;
 }
 
-int run_gate(const std::string& path, std::uint64_t warm, double secs,
-             unsigned stripes) {
+int run_gate(const std::string& path, std::uint64_t warm, double secs) {
   nvm::config().write_latency_ns = 0;
   nvm::config().per_line_ns = 0;
 
   nvm::PmemPool pool(std::max<std::size_t>(std::size_t{256} << 20, warm * 160));
-  // --gate-stripes=1 runs the whole gate against the single-global-fallback
-  // baseline: CI uses it to bound the striping layer's single-thread cost
-  // (persist modes must be identical — stripes never touch NVM ordering).
-  core::RNTree<>::Options topt;
-  topt.fallback_stripes = stripes;
-  core::RNTree<> tree(pool, topt);
+  core::RNTree<> tree(pool);
   for (std::uint64_t i = 0; i < warm; ++i) tree.upsert(mix64(i), i);
 
   std::uint64_t acc = 0;
@@ -308,7 +302,6 @@ int run_gate(const std::string& path, std::uint64_t warm, double secs,
       {"schema", "rnt-gate-v2", false},
       {"warm", std::to_string(warm), true},
       {"seconds", num(secs), true},
-      {"gate_stripes", std::to_string(stripes), true},
       {"calib_mops", num(calib * 1e-6), true},
       {"find_mops", num(find * 1e-6), true},
       {"insert_mops", num(insert * 1e-6), true},
@@ -345,7 +338,6 @@ int main(int argc, char** argv) {
   std::string perfetto;
   std::uint64_t gate_warm = 200'000;
   double gate_secs = 0.4;
-  std::uint32_t gate_stripes = rnt::htm::kDefaultFallbackStripes;
   std::uint32_t sample_ms = 0;
   bool tracing = false;
   int out = 1;
@@ -359,17 +351,6 @@ int main(int argc, char** argv) {
       gate_warm = std::strtoull(a.c_str() + 12, nullptr, 10);
     } else if (a.rfind("--gate-seconds=", 0) == 0) {
       gate_secs = std::strtod(a.c_str() + 15, nullptr);
-    } else if (a.rfind("--gate-stripes=", 0) == 0) {
-      gate_stripes =
-          static_cast<std::uint32_t>(std::strtoul(a.c_str() + 15, nullptr, 10));
-      if (!rnt::htm::stripe_valid_count(gate_stripes)) {
-        std::fprintf(stderr,
-                     "bench_micro: --gate-stripes wants a power of two in "
-                     "[%u, %u], got '%s'\n",
-                     rnt::htm::kMinFallbackStripes,
-                     rnt::htm::kMaxFallbackStripes, a.c_str() + 15);
-        return 2;
-      }
     } else if (a.rfind("--trace=", 0) == 0) {
       rnt::obs::set_trace_capacity(std::strtoull(a.c_str() + 8, nullptr, 10));
       tracing = true;
@@ -390,7 +371,7 @@ int main(int argc, char** argv) {
   if (sample_ms != 0 || !perfetto.empty()) rnt::obs::set_phase_timing(true);
   if (sample_ms != 0) rnt::obs::sampler().start({.interval_ms = sample_ms});
   if (!gate_json.empty())
-    return run_gate(gate_json, gate_warm, gate_secs, gate_stripes);
+    return run_gate(gate_json, gate_warm, gate_secs);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

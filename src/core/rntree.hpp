@@ -46,7 +46,6 @@
 #include "core/rn_leaf.hpp"
 #include "epoch/ebr.hpp"
 #include "htm/rtm.hpp"
-#include "htm/stripe_table.hpp"
 #include "inner/inner_tree.hpp"
 #include "nvm/pool.hpp"
 #include "obs/heatmap.hpp"
@@ -141,14 +140,6 @@ class RNTree {
     bool dual_slot = true;
     /// Pool root slot holding the leftmost-leaf offset.
     int root_slot = 0;
-    /// Fallback-lock stripes (power of two in [1, 4096], see
-    /// htm/stripe_table.hpp).  Leaf publishes run against the stripe
-    /// covering their leaf and structural changes against a dedicated SMO
-    /// stripe, so a capacity-abort storm on one hot range serializes only
-    /// that stripe.  1 = the single-global-lock baseline (the SMO stripe
-    /// aliases it), selectable for the perf gate and the collapse
-    /// measurement in bench_ablation_fallback.
-    unsigned fallback_stripes = htm::kDefaultFallbackStripes;
     /// Recovery worker threads for the per-leaf transient rebuild: 0 = auto
     /// (serial below kParallelRecoveryMinLeaves, 8 workers above), 1 =
     /// always serial, N > 1 = up to N workers.
@@ -162,10 +153,7 @@ class RNTree {
 
   /// Create a fresh tree in @p pool.
   RNTree(nvm::PmemPool& pool, Options opt = {})
-      : pool_(pool),
-        opt_(opt),
-        stripes_(opt.fallback_stripes),
-        inner_(epochs_, &stripes_.smo_stripe()) {
+      : pool_(pool), opt_(opt), inner_(epochs_) {
     // Dirty-flag protocol: the clean flag must be cleared (and durable)
     // strictly before the first pool mutation, so a crash mid-construction
     // is always routed down the crash-recovery path.
@@ -199,10 +187,7 @@ class RNTree {
   /// path.  The caller owns the dirty/clean flag protocol.  Does not throw
   /// on corruption: the outcome is in recovery_status().
   RNTree(recover_t, nvm::PmemPool& pool, bool crashed, Options opt)
-      : pool_(pool),
-        opt_(opt),
-        stripes_(opt.fallback_stripes),
-        inner_(epochs_, &stripes_.smo_stripe()) {
+      : pool_(pool), opt_(opt), inner_(epochs_) {
     recovery_status_ = recover_status(crashed);
   }
 
@@ -432,15 +417,6 @@ class RNTree {
   TreeStats& stats() noexcept { return stats_; }
   bool dual_slot() const noexcept { return opt_.dual_slot; }
   int height() const noexcept { return inner_.height(); }
-  unsigned fallback_stripes() const noexcept { return stripes_.count(); }
-  const htm::StripeTable& stripe_table() const noexcept { return stripes_; }
-
-  /// Stripe currently covering @p k's leaf (storm targeting in benches and
-  /// fault tests; approximate under concurrent splits).
-  unsigned stripe_of_key(Key k) const {
-    epoch::Guard g = epochs_.pin();
-    return stripes_.index_of(chase(inner_.find_leaf(k), k));
-  }
 
   /// Number of leaves (walks the chain; diagnostics).
   std::size_t leaf_count() const {
@@ -561,6 +537,15 @@ class RNTree {
     }
   }
 
+  /// Live-entry count read without the leaf lock: a relaxed load racing by
+  /// design with the slot line's plain stores (a sizing hint only).  The
+  /// builtin rather than std::atomic_ref, whose out-of-line load TSan would
+  /// still instrument inside this RNT_NO_SANITIZE_THREAD scope.
+  RNT_NO_SANITIZE_THREAD static std::uint8_t racy_live_count(
+      const Leaf* leaf) noexcept {
+    return __atomic_load_n(&leaf->pslot[0], __ATOMIC_RELAXED);
+  }
+
   /// Publish a new slot-array image: HTM-atomic store of the full cache
   /// line, then the flush (persistent instruction #2).  In single-slot mode
   /// the reader-visible window (mseq) must include the flush so a reader
@@ -575,15 +560,15 @@ class RNTree {
     // update re-points a slot at a new log entry for the same key): skip the
     // self-copy but keep the seqlock windows identical.
     if (!opt_.dual_slot) leaf->mseq.write_begin();
-    // Striped lock elision: the transaction subscribes to the stripe
-    // covering THIS leaf, so a capacity-abort storm serializes only its
-    // stripe's fallbacks while every other stripe keeps committing in HTM.
-    // Lock order: the leaf version-lock (held here) always precedes stripe
-    // locks.  The persist stays OUTSIDE the transaction (a flush inside an
-    // RTM transaction aborts it; the shadow asserts the equivalent).
-    htm::atomic_exec_striped(
-        stripes_, stripes_.index_of(leaf),
-        [&]() { nvm::copy_nvm(leaf->pslot, snew, kCacheLineSize); });
+    // The leaf version lock (held here) excludes every other writer of the
+    // slot line — publishes, splits, compactions — so the transaction needs
+    // no fallback lock of its own: it only makes the line's store atomic
+    // with respect to crashes.  The persist stays OUTSIDE the transaction
+    // (a flush inside an RTM transaction aborts it; the shadow asserts the
+    // equivalent).
+    htm::atomic_exec(nullptr, [&]() {
+      nvm::copy_nvm(leaf->pslot, snew, kCacheLineSize);
+    });
     // The slot line IS the op's durable commit point (the KV entry was
     // persisted before the lock), so this flush — and only this flush — may
     // defer its fence to a group-persistency batch barrier: a crash mid-batch
@@ -649,14 +634,17 @@ class RNTree {
       const std::uint64_t ver = leaf->vlock.stable_version();
 
       // Pre-flight reservation: when this op is likely to fill the leaf and
-      // trigger a split, secure the sibling's space BEFORE taking the lock
-      // or publishing anything, so an exhausted pool is discovered while
-      // backing out costs nothing.  nlogs is a conservative (racy but
-      // atomic) fullness hint; if it under-estimates, split_locked falls
-      // back to allocating under the lock — still before any mutation.  An
-      // unconsumed reservation returns its block on every loop exit.
+      // trigger a real split, secure the sibling's space BEFORE taking the
+      // lock or publishing anything, so an exhausted pool is discovered
+      // while backing out costs nothing.  nlogs and the live count are racy
+      // hints (a leaf at least half live splits for real; below that it
+      // compacts in place and needs no block); if they under-estimate,
+      // split_locked falls back to allocating under the lock — still before
+      // any mutation.  An unconsumed reservation returns its block on every
+      // loop exit.
       nvm::PmemPool::Reservation res;
-      if (leaf->nlogs.load(std::memory_order_relaxed) >= Leaf::kLogCap - 2)
+      if (leaf->nlogs.load(std::memory_order_relaxed) >= Leaf::kLogCap - 2 &&
+          racy_live_count(leaf) >= kSlotCap / 2)
         res = pool_.reserve(sizeof(Leaf));
 
       // Announce this in-flight log write so a concurrent split quiesces
@@ -814,16 +802,6 @@ class RNTree {
     const Leaf* src = reinterpret_cast<const Leaf*>(undo.data);
 
     Leaf* nl = pool_.ptr<Leaf>(new_off);
-    // Striped-regime invariant: every writer of a leaf's slot line holds
-    // that leaf's stripe (the software-fallback serializer).  The split
-    // rewrites TWO leaves' slot lines, so it takes both stripes via the
-    // ordered multi-acquire (ascending index, duplicates collapsed —
-    // deadlock-free against any other multi-acquire).  The guard is
-    // released BEFORE inner_.insert_split: at fallback_stripes == 1 the SMO
-    // stripe aliases stripe 0 and SpinLock is not reentrant, so leaf
-    // stripes and the SMO stripe are never held together on this path.
-    htm::MultiStripeGuard sg(stripes_,
-                             {stripes_.index_of(leaf), stripes_.index_of(nl)});
     nl->init();
     const int split = live / 2;
     const Key split_key = src->logs[src->pslot[1 + split]].key;
@@ -874,7 +852,6 @@ class RNTree {
     end_undo(undo);
 
     leaf->vlock.unset_split_and_bump();
-    sg.release();
     inner_.insert_split(split_key, leaf, nl);
     return common::OkStatus();
   }
@@ -885,9 +862,6 @@ class RNTree {
     stats_.count_shrink_split();
     leaf->vlock.set_split();
     quiesce_writers(leaf);
-    // Same striped-regime invariant as split_locked, single leaf: hold the
-    // stripe covering this leaf's slot line for the in-place rewrite.
-    htm::MultiStripeGuard sg(stripes_, {stripes_.index_of(leaf)});
     nvm::UndoSlot& undo = pool_.undo_slot(pmem_thread_id());
     begin_undo(undo, leaf, 0);
     const Leaf* src = reinterpret_cast<const Leaf*>(undo.data);
@@ -1122,7 +1096,6 @@ class RNTree {
   nvm::PmemPool& pool_;
   Options opt_;
   mutable epoch::EpochManager epochs_;
-  htm::StripeTable stripes_;
   inner::InnerTree<Key, Leaf> inner_;
   std::atomic<std::int64_t> size_{0};
   mutable TreeStats stats_;

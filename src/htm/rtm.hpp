@@ -14,6 +14,13 @@
 //     host.  The "committed" attempt runs under the fallback lock for real
 //     mutual exclusion.
 //
+// A null fallback lock means the CALLER's lock already excludes every other
+// writer of fn's footprint (RNTree's slot-line publish runs under the leaf
+// version lock).  Then no attempt subscribes to a lock and the fallback, the
+// software tier and the injected commit run fn inside the transaction
+// bracket alone: the transaction still gives the line its crash atomicity,
+// and exclusion comes from the caller.
+//
 // Abort handling is governed by RetryPolicy: capacity aborts fall back
 // immediately (the write set will never fit), conflicts retry under bounded
 // exponential backoff, spurious aborts get a small retry budget, and waiting
@@ -126,12 +133,26 @@ inline bool bounded_lock_wait(SpinLock& fallback, const RetryPolicy& policy,
   return true;
 }
 
+/// Run fn inside the simulated transaction bracket, then release
+/// @p fallback — already held by the caller — unless it is null.
+template <typename Fn>
+void run_bracketed(SpinLock* fallback, Fn&& fn) {
+  struct Release {
+    SpinLock* lock;
+    ~Release() {
+      if (lock != nullptr) lock->unlock();
+    }
+  } release{fallback};
+  TxGuard tx;  // commit-or-abort on unwind (exception safety)
+  std::forward<Fn>(fn)();
+}
+
 /// Injected retry machine: one simulated HTM attempt loop driven by the
 /// installed AbortInjector.  Returns true when an attempt "committed" (fn
-/// ran under @p fallback); false when the policy demands the caller's
-/// fallback path.
+/// ran under @p fallback, or under the caller's lock when it is null);
+/// false when the policy demands the caller's fallback path.
 template <typename Fn>
-bool run_injected(AbortInjector& inj, SpinLock& fallback, Fn& fn,
+bool run_injected(AbortInjector& inj, SpinLock* fallback, Fn& fn,
                   const RetryPolicy& policy, HtmStats& st) {
   Backoff conflict_bo;
   int spurious = 0;
@@ -139,12 +160,12 @@ bool run_injected(AbortInjector& inj, SpinLock& fallback, Fn& fn,
     ++st.attempts;
     const std::optional<AbortCause> cause = inj.on_attempt(attempt);
     if (!cause.has_value()) {
-      // Simulated commit: mutual exclusion comes from the fallback lock
-      // (the attempt cannot execute speculatively), durability modelling
-      // from the simulated transaction bracket.
-      SpinGuard g(fallback);
-      TxGuard tx;
-      fn();
+      // Simulated commit: mutual exclusion comes from the fallback lock, or
+      // the caller's when it is null (the attempt cannot execute
+      // speculatively), durability modelling from the simulated
+      // transaction bracket.
+      if (fallback != nullptr) fallback->lock();
+      run_bracketed(fallback, fn);
       ++st.commits;
       return true;
     }
@@ -170,7 +191,7 @@ bool run_injected(AbortInjector& inj, SpinLock& fallback, Fn& fn,
         ++st.aborts_other;
         ++st.injected_lock_subscription;
         obs::heatmap_record(obs::HeatCause::kOther);
-        bounded_lock_wait(fallback, policy, st);
+        if (fallback != nullptr) bounded_lock_wait(*fallback, policy, st);
         break;
     }
   }
@@ -190,9 +211,10 @@ void xend() noexcept;
 void xabort_conflict() noexcept;
 
 /// Real-hardware retry machine.  Returns true on commit, false when the
-/// policy demands the fallback lock.
+/// policy demands the fallback path.  A null @p fallback is never
+/// subscribed to: no other writer of fn's footprint can run a fallback.
 template <typename Fn>
-bool run_rtm(SpinLock& fallback, Fn& fn, const RetryPolicy& policy,
+bool run_rtm(SpinLock* fallback, Fn& fn, const RetryPolicy& policy,
              HtmStats& st) {
   Backoff conflict_bo;
   int spurious = 0;
@@ -203,7 +225,7 @@ bool run_rtm(SpinLock& fallback, Fn& fn, const RetryPolicy& policy,
       // Subscribe to the fallback lock: abort if a pessimistic writer is
       // active and pull the lock word into the read set so its release
       // aborts us (standard lock-elision idiom).
-      if (fallback.is_locked()) xabort_conflict();
+      if (fallback != nullptr && fallback->is_locked()) xabort_conflict();
       fn();
       xend();
       ++st.commits;
@@ -216,11 +238,12 @@ bool run_rtm(SpinLock& fallback, Fn& fn, const RetryPolicy& policy,
     }
     if ((status & kAbortExplicit) != 0 &&
         ((status >> 24) & 0xffu) == kSubscriptionCode) {
-      // Our own subscription abort: wait (bounded) for the lock holder,
-      // then retry; does not consume the spurious budget.
+      // Our own subscription abort (issued only with a non-null fallback):
+      // wait (bounded) for the lock holder, then retry; does not consume
+      // the spurious budget.
       ++st.aborts_other;
       obs::heatmap_record(obs::HeatCause::kOther);
-      bounded_lock_wait(fallback, policy, st);
+      bounded_lock_wait(*fallback, policy, st);
       continue;
     }
     if ((status & kAbortConflict) != 0) {
@@ -233,7 +256,8 @@ bool run_rtm(SpinLock& fallback, Fn& fn, const RetryPolicy& policy,
       if ((status & kAbortRetry) == 0 && ++spurious > policy.max_spurious_retries)
         return false;
     }
-    if (fallback.is_locked()) bounded_lock_wait(fallback, policy, st);
+    if (fallback != nullptr && fallback->is_locked())
+      bounded_lock_wait(*fallback, policy, st);
   }
   return false;
 }
@@ -242,9 +266,11 @@ bool run_rtm(SpinLock& fallback, Fn& fn, const RetryPolicy& policy,
 }  // namespace detail
 
 /// Execute @p fn atomically w.r.t. every other atomic_exec on the same
-/// @p fallback lock and w.r.t. readers using seqlock validation.
+/// @p fallback lock and w.r.t. readers using seqlock validation.  A null
+/// @p fallback asserts that a lock the caller holds already excludes every
+/// other writer of fn's footprint; fn then runs without any further lock.
 template <typename Fn>
-void atomic_exec(SpinLock& fallback, Fn&& fn,
+void atomic_exec(SpinLock* fallback, Fn&& fn,
                  const RetryPolicy& policy = default_retry_policy()) {
   HtmStats& st = tls_htm_stats();
   if (AbortInjector* inj = abort_injector()) {
@@ -261,14 +287,12 @@ void atomic_exec(SpinLock& fallback, Fn&& fn,
     obs::heatmap_record(obs::HeatCause::kFallback);
   }
 #endif
-  {
+  if (fallback != nullptr) {
     obs::PhaseTimer wait(obs::Phase::kLockWait);
-    fallback.lock();
+    fallback->lock();
+    ++st.lock_acquisitions;
   }
-  SpinGuard g(fallback, AdoptLock{});
-  ++st.lock_acquisitions;
-  detail::TxGuard tx;  // commit-or-abort on unwind (exception safety)
-  std::forward<Fn>(fn)();
+  detail::run_bracketed(fallback, std::forward<Fn>(fn));
   ++st.commits;
 }
 

@@ -57,7 +57,8 @@ inline SmoCounters& smo_counters() {
 // Install-transaction marker.  True on this thread while an SMO install is
 // executing its atomic_exec.
 // Fault tests use it to aim abort storms at install transactions only
-// (differential FaultCowSmo mode, smo_stress capacity measurement).
+// (differential FaultCowSmo mode, smo_stress capacity measurement) or at
+// everything else (the publish storms).
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -89,6 +90,22 @@ class SmoTargetedInjector final : public AbortInjector {
 
   std::optional<AbortCause> on_attempt(int attempt) override {
     if (!in_smo_install()) return std::nullopt;
+    return inner_.on_attempt(attempt);
+  }
+
+ private:
+  AbortInjector& inner_;
+};
+
+/// The complement: fires the inner injector only OUTSIDE SMO install
+/// transactions, i.e. on the leaf-path slot publishes.  Aims a storm at the
+/// publishes' lock-free fallback while every structural install commits.
+class PublishTargetedInjector final : public AbortInjector {
+ public:
+  explicit PublishTargetedInjector(AbortInjector& inner) : inner_(inner) {}
+
+  std::optional<AbortCause> on_attempt(int attempt) override {
+    if (in_smo_install()) return std::nullopt;
     return inner_.on_attempt(attempt);
   }
 

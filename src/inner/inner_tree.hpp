@@ -80,14 +80,7 @@ class InnerTree {
   /// depth ~5 with 64-entry leaves, mirroring the paper's setup.
   static constexpr int kFanout = 16;
 
-  /// @p smo_lock, when given, replaces the internal SMO fallback lock — the
-  /// owning tree routes structural changes through its stripe table's
-  /// dedicated SMO stripe so leaf-path and SMO fallbacks share one
-  /// lock-order domain (stripe_table.hpp).
-  explicit InnerTree(epoch::EpochManager& epochs,
-                     htm::SpinLock* smo_lock = nullptr)
-      : epochs_(epochs),
-        smo_lock_(smo_lock != nullptr ? *smo_lock : own_smo_lock_) {}
+  explicit InnerTree(epoch::EpochManager& epochs) : epochs_(epochs) {}
 
   ~InnerTree() { free_subtree(root_.load(std::memory_order_relaxed)); }
 
@@ -325,7 +318,7 @@ class InnerTree {
     } else {
       htm::SmoInstallScope in_install;
       htm::TxFootprint footprint(1);
-      htm::atomic_exec(smo_lock_, validate_and_swap, htm::smo_install_policy());
+      htm::atomic_exec(&smo_lock_, validate_and_swap, htm::smo_install_policy());
     }
 
     // 4. Retire strictly AFTER the swap: until then the replaced nodes are
@@ -407,10 +400,7 @@ class InnerTree {
   std::atomic<Node*> root_{nullptr};
   /// SMO fallback lock: install transactions subscribe to it (atomic_exec);
   /// the locked install round and bulk_load hold it outright.
-  /// Standalone InnerTrees own theirs; trees with a stripe table pass their
-  /// dedicated SMO stripe in, so the reference is the one true lock.
-  htm::SpinLock own_smo_lock_;
-  htm::SpinLock& smo_lock_;
+  htm::SpinLock smo_lock_;
 };
 
 }  // namespace rnt::inner

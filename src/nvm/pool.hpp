@@ -50,18 +50,21 @@ namespace rnt::nvm {
 /// Maximum worker threads supported by the undo-log area and epoch slots.
 inline constexpr int kMaxThreads = 64;
 
-/// Per-thread persistent undo-log slot used by leaf splits.
+/// Per-thread persistent undo-log slot used by leaf splits.  The header
+/// fills one cache line so the logged leaf image starts line-aligned: trees
+/// read it back through a `const Leaf*`, and leaves are 64-byte aligned.
 struct alignas(kCacheLineSize) UndoSlot {
   enum State : std::uint64_t { kIdle = 0, kActive = 1 };
-  static constexpr std::size_t kDataSize = 4064;
+  static constexpr std::size_t kDataSize = 4096 - kCacheLineSize;
 
   std::uint64_t state;       ///< kIdle or kActive (persisted)
   std::uint64_t target_off;  ///< pool offset of the leaf being split
   std::uint64_t aux_off;     ///< pool offset of the new leaf (freed on rollback)
   std::uint64_t data_size;   ///< bytes of the logged leaf image
-  std::uint8_t data[kDataSize];
+  alignas(kCacheLineSize) std::uint8_t data[kDataSize];
 };
 static_assert(sizeof(UndoSlot) == 4096);
+static_assert(offsetof(UndoSlot, data) == kCacheLineSize);
 
 /// Point-in-time fragmentation map of a pool's data area (see
 /// PmemPool::fragmentation()).  "Free" means tracked by the volatile

@@ -71,10 +71,6 @@ class ShardedTree {
     /// means "whole 64-bit space" (top-bits shift).  Benchmarks that draw
     /// keys from [0, N) should set this or every key lands in shard 0.
     std::uint64_t key_space = 0;
-    /// Forwarded to every member tree: each shard gets its OWN fallback
-    /// stripe table of this many stripes (abort storms stay local to a
-    /// shard AND to a stripe within it).  1 = per-shard global lock.
-    unsigned fallback_stripes = htm::kDefaultFallbackStripes;
     /// Forwarded to every member tree (see RNTree::Options): recovery
     /// worker threads per shard.  Shards recover sequentially; each
     /// shard's leaf rebuild parallelises internally.
@@ -312,7 +308,6 @@ class ShardedTree {
     typename Tree::Options o;
     o.dual_slot = opt_.dual_slot;
     o.root_slot = s;
-    o.fallback_stripes = opt_.fallback_stripes;
     o.recovery_workers = opt_.recovery_workers;
     return o;
   }

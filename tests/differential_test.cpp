@@ -40,7 +40,6 @@
 #include "core/rntree.hpp"
 #include "htm/abort_inject.hpp"
 #include "htm/smo.hpp"
-#include "htm/stripe_table.hpp"
 #include "nvm/persist.hpp"
 #include "nvm/pool.hpp"
 #include "shard/sharded_tree.hpp"
@@ -211,11 +210,11 @@ bool pool_exhausted_result(const R& r) {
 enum class FaultMode {
   kGlobalAborts,   ///< every transaction, moderate rate (the original mode)
   kSmoAbortStorm,  ///< SMO install transactions only, storm rate
-  /// Transactions whose StripeScope targets stripe 0 only, storm rate: the
-  /// striped-fallback analogue of the SMO storm.  Publishes on the hot
-  /// stripe retry/fall back constantly while every other stripe commits
-  /// untouched; none of it may be visible to the oracle.
-  kStripeStorm,
+  /// Every transaction outside an SMO install (the leaf slot publishes),
+  /// storm rate: publishes retry and fall back constantly under their leaf
+  /// lock alone while installs commit untouched; none of it may be visible
+  /// to the oracle.
+  kPublishStorm,
 };
 
 /// Fault-injected stream: like run_stream, but with seeded random HTM abort
@@ -229,10 +228,10 @@ std::optional<std::string> run_fault_stream(const std::vector<Op>& ops,
   const bool storm = mode != FaultMode::kGlobalAborts;
   htm::RandomAbortInjector inj(seed, /*abort_permille=*/storm ? 800 : 300);
   htm::SmoTargetedInjector smo_only(inj);
-  htm::StripeStormInjector stripe_only(inj, /*hot_stripe=*/0);
+  htm::PublishTargetedInjector publish_only(inj);
   htm::AbortInjector* chosen = &inj;
   if (mode == FaultMode::kSmoAbortStorm) chosen = &smo_only;
-  if (mode == FaultMode::kStripeStorm) chosen = &stripe_only;
+  if (mode == FaultMode::kPublishStorm) chosen = &publish_only;
   htm::ScopedAbortInjector scope(chosen);
 
   nvm::PmemPool pool(std::size_t{2} << 20);  // minimum size: ~1 MiB of data
@@ -437,25 +436,6 @@ struct RnAdapter {
   }
 };
 
-// Explicit stripe-count adapter for the stripe-storm legs: 2 stripes makes
-// nearly every split span two stripe locks, 1 aliases the SMO stripe onto
-// the single global lock (the release-before-install split path).
-template <unsigned Stripes>
-struct RnStripeAdapter {
-  static RN::Options opts() {
-    RN::Options o;
-    o.dual_slot = true;
-    o.fallback_stripes = Stripes;
-    return o;
-  }
-  static std::unique_ptr<RN> make(nvm::PmemPool& p) {
-    return std::make_unique<RN>(p, opts());
-  }
-  static std::unique_ptr<RN> recover(nvm::PmemPool& p) {
-    return std::make_unique<RN>(RN::recover_t{}, p, opts());
-  }
-};
-
 template <typename T>
 struct PlainAdapter {
   static std::unique_ptr<T> make(nvm::PmemPool& p) {
@@ -557,22 +537,12 @@ TEST_F(DifferentialTest, FaultCowSmoSingleSlot) {
                                            FaultMode::kSmoAbortStorm);
 }
 
-// Stripe storms: 800-permille seeded aborts aimed ONLY at transactions
-// whose StripeScope targets stripe 0.  The hot stripe's publishes live on
-// the fallback lock while every other stripe elides; splits cross stripe
-// boundaries (2 stripes) or alias the SMO stripe (1 stripe); none of it
-// may diverge from the oracle.
-TEST_F(DifferentialTest, FaultStripeStormDefaultStripes) {
-  run_fault_differential<RnAdapter<true>>("rntree-dual-stripestorm",
-                                          FaultMode::kStripeStorm);
-}
-TEST_F(DifferentialTest, FaultStripeStormTwoStripes) {
-  run_fault_differential<RnStripeAdapter<2>>("rntree-2stripe-storm",
-                                             FaultMode::kStripeStorm);
-}
-TEST_F(DifferentialTest, FaultStripeStormGlobalAlias) {
-  run_fault_differential<RnStripeAdapter<1>>("rntree-global-storm",
-                                             FaultMode::kStripeStorm);
+// Publish storm: 800-permille seeded aborts aimed at every transaction
+// outside an SMO install.  Each publish's fallback runs under its leaf lock
+// alone; none of it may diverge from the oracle.
+TEST_F(DifferentialTest, FaultPublishStorm) {
+  run_fault_differential<RnAdapter<true>>("rntree-dual-publishstorm",
+                                          FaultMode::kPublishStorm);
 }
 
 }  // namespace

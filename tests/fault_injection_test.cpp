@@ -6,7 +6,8 @@
 // scripted abort schedules assert the per-cause policy (capacity -> immediate
 // fallback, conflict -> bounded backoff retries, spurious -> small budget,
 // lock subscription -> bounded wait), the htm.inject.* attribution counters,
-// the bounded lock-wait starvation cap, and the exception-safety of the
+// the bounded lock-wait starvation cap, the null-lock form whose exclusion
+// comes from the caller, and the exception-safety of the
 // simulated-transaction bracket (TxGuard).  A seeded random schedule then
 // hammers a real tree against a std::map oracle to show injected aborts are
 // invisible to callers.
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "nvm/persist.hpp"
 #include "nvm/pool.hpp"
 #include "nvm/shadow.hpp"
+#include "obs/heatmap.hpp"
 
 namespace rnt {
 namespace {
@@ -63,7 +66,7 @@ TEST(AbortInjection, ConflictsRetryWithBackoffThenCommit) {
   ScopedAbortInjector scope(&inj);
   htm::SpinLock lock;
   int ran = 0;
-  const HtmStats d = stats_delta([&] { htm::atomic_exec(lock, [&] { ++ran; }); });
+  const HtmStats d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(d.attempts, 3u);  // 2 aborted + 1 committed
   EXPECT_EQ(d.commits, 1u);
@@ -82,7 +85,7 @@ TEST(AbortInjection, CapacityAbortFallsBackImmediately) {
   ScopedAbortInjector scope(&inj);
   htm::SpinLock lock;
   int ran = 0;
-  const HtmStats d = stats_delta([&] { htm::atomic_exec(lock, [&] { ++ran; }); });
+  const HtmStats d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(d.attempts, 1u);  // no retry after capacity
   EXPECT_EQ(d.aborts_capacity, 1u);
@@ -102,7 +105,7 @@ TEST(AbortInjection, SpuriousAbortsHaveABoundedBudget) {
     ScopedAbortInjector scope(&inj);
     int ran = 0;
     const HtmStats d = stats_delta(
-        [&] { htm::atomic_exec(lock, [&] { ++ran; }, policy); });
+        [&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(d.injected_spurious, 2u);
     EXPECT_EQ(d.fallbacks, 0u);
@@ -113,7 +116,7 @@ TEST(AbortInjection, SpuriousAbortsHaveABoundedBudget) {
     ScopedAbortInjector scope(&inj);
     int ran = 0;
     const HtmStats d = stats_delta(
-        [&] { htm::atomic_exec(lock, [&] { ++ran; }, policy); });
+        [&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(d.injected_spurious, 3u);
     EXPECT_EQ(d.fallbacks, 1u);
@@ -128,7 +131,7 @@ TEST(AbortInjection, LockSubscriptionAbortWaitsAndRetries) {
   ScopedAbortInjector scope(&inj);
   htm::SpinLock lock;
   int ran = 0;
-  const HtmStats d = stats_delta([&] { htm::atomic_exec(lock, [&] { ++ran; }); });
+  const HtmStats d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(d.attempts, 2u);
   EXPECT_EQ(d.injected_lock_subscription, 1u);
@@ -145,7 +148,7 @@ TEST(AbortInjection, MaxAttemptsExhaustionFallsBack) {
   htm::SpinLock lock;
   int ran = 0;
   const HtmStats d =
-      stats_delta([&] { htm::atomic_exec(lock, [&] { ++ran; }, policy); });
+      stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(d.attempts, 3u);  // policy bound, not script length
   EXPECT_EQ(d.fallbacks, 1u);
@@ -168,6 +171,96 @@ TEST(AbortInjection, BoundedLockWaitTimesOutInsteadOfSpinningForever) {
   EXPECT_EQ(st.lock_wait_timeouts, 1u);
 }
 
+TEST(AbortInjection, BoundedLockWaitRecordsLockWaitHeat) {
+  ASSERT_TRUE(obs::heatmap_configure(
+      {.buckets = 64, .by_leaf = false, .key_space = 0,
+       .decay_half_life_s = 0.0}));
+  obs::set_heatmap_enabled(true);
+  {
+    obs::HeatScope scope(123);
+    htm::SpinLock lk;
+    lk.lock();
+    RetryPolicy p;
+    p.lock_wait_pauses = 2;
+    HtmStats st;
+    EXPECT_FALSE(htm::detail::bounded_lock_wait(lk, p, st));
+    EXPECT_EQ(st.lock_wait_timeouts, 1u);
+    lk.unlock();
+  }
+  const obs::HeatmapSnapshot snap = obs::heatmap_snapshot();
+  obs::set_heatmap_enabled(false);
+  obs::heatmap_reset();
+  EXPECT_GE(snap.totals[static_cast<int>(obs::HeatCause::kLockWait)], 1u);
+  EXPECT_GE(snap.totals[static_cast<int>(obs::HeatCause::kLockWaitTimeout)],
+            1u);
+}
+
+TEST(AbortInjection, NullFallbackLockIsNeverTaken) {
+  // A null fallback means the caller's own lock excludes every other
+  // writer: the capacity abort still falls back, and a lock-subscription
+  // abort has no lock to wait for, but nothing is acquired.
+  ScriptedAbortInjector inj(
+      {AbortCause::kLockSubscription, AbortCause::kCapacity});
+  ScopedAbortInjector scope(&inj);
+  int ran = 0;
+  const HtmStats d =
+      stats_delta([&] { htm::atomic_exec(nullptr, [&] { ++ran; }); });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(d.attempts, 2u);
+  EXPECT_EQ(d.injected_lock_subscription, 1u);
+  EXPECT_EQ(d.aborts_capacity, 1u);
+  EXPECT_EQ(d.fallbacks, 1u);
+  EXPECT_EQ(d.commits, 1u);
+  EXPECT_EQ(d.lock_acquisitions, 0u);
+  EXPECT_EQ(d.lock_wait_timeouts, 0u);
+}
+
+TEST(AbortInjection, PublishFallbacksRunUnderTheLeafLockAlone) {
+  // Every slot-line publish runs under its leaf's version lock, so its HTM
+  // fallback takes no lock of its own.  Preload with no split pending, then
+  // capacity-abort every publish: each one falls back exactly once, no
+  // fallback lock is ever acquired, and the contents stay exact.  Ascending
+  // preload leaves every leaf but the rightmost about half full (~31 log
+  // entries); the update phase stays in the lower half of the key range.
+  nvm::PmemPool pool(std::size_t{32} << 20);
+  core::RNTree<std::uint64_t, std::uint64_t> tree(pool);
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  constexpr std::uint64_t kKeys = 2000;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(tree.insert(i, i).ok());
+    oracle.emplace(i, i);
+  }
+  const std::uint64_t splits0 = tree.stats().splits.load();
+  const std::uint64_t shrinks0 = tree.stats().shrink_splits.load();
+
+  ScriptedAbortInjector inj({AbortCause::kCapacity});
+  ScopedAbortInjector scope(&inj);
+  std::uint64_t publishes = 0;
+  const HtmStats d = stats_delta([&] {
+    // Every 4th key: at most 8 fresh log entries per leaf, far from the
+    // log-full split threshold.
+    for (std::uint64_t k = 0; k < kKeys / 2; k += 4) {
+      if (k % 8 == 0) {
+        ASSERT_TRUE(tree.update(k, k + 1).ok());
+        oracle[k] = k + 1;
+      } else {
+        ASSERT_TRUE(tree.remove(k));
+        oracle.erase(k);
+      }
+      ++publishes;
+    }
+  });
+  EXPECT_EQ(tree.stats().splits.load(), splits0) << "a publish split a leaf";
+  EXPECT_EQ(tree.stats().shrink_splits.load(), shrinks0);
+  EXPECT_EQ(d.fallbacks, publishes);
+  EXPECT_EQ(d.aborts_capacity, publishes);
+  EXPECT_EQ(d.commits, publishes);
+  EXPECT_EQ(d.lock_acquisitions, 0u);
+  EXPECT_EQ(tree.size(), oracle.size());
+  for (const auto& [k, v] : oracle) ASSERT_EQ(tree.find(k), std::optional(v));
+  tree.check_invariants();
+}
+
 TEST(AbortInjection, StalledLockHolderDegradesWithoutLivelock) {
   // A subscription abort while another thread sits on the fallback lock:
   // the injected machine's bounded wait times out, retries are spent, and
@@ -182,7 +275,7 @@ TEST(AbortInjection, StalledLockHolderDegradesWithoutLivelock) {
       {AbortCause::kLockSubscription, AbortCause::kLockSubscription});
   ScopedAbortInjector scope(&inj);
   int ran = 0;
-  std::thread t([&] { htm::atomic_exec(lock, [&] { ++ran; }, policy); });
+  std::thread t([&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   lock.unlock();  // un-stall the holder; the waiter completes
   t.join();
@@ -206,7 +299,7 @@ TEST(AbortInjection, MutualExclusionHoldsUnderRandomInjection) {
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
       for (int i = 0; i < kOpsPerThread; ++i)
-        htm::atomic_exec(lock, [&] { ++counter; });
+        htm::atomic_exec(&lock, [&] { ++counter; });
     });
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
@@ -227,7 +320,7 @@ TEST(AbortInjection, TxGuardClosesSimulatedTransactionOnThrow) {
   nvm::ShadowPool shadow(pool);
   htm::SpinLock lock;
   EXPECT_THROW(
-      htm::atomic_exec(lock, [&] { throw std::runtime_error("fn failed"); }),
+      htm::atomic_exec(&lock, [&] { throw std::runtime_error("fn failed"); }),
       std::runtime_error);
   EXPECT_FALSE(lock.is_locked()) << "fallback lock leaked across the throw";
 

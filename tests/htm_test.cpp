@@ -163,7 +163,7 @@ TEST(VersionLock, ResetClears) {
 TEST(AtomicExec, RunsBodyExactlyOnce) {
   SpinLock fb;
   int runs = 0;
-  atomic_exec(fb, [&] { ++runs; });
+  atomic_exec(&fb, [&] { ++runs; });
   EXPECT_EQ(runs, 1);
   EXPECT_FALSE(fb.is_locked());
 }
@@ -177,7 +177,7 @@ TEST(AtomicExec, ProvidesMutualExclusion) {
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&] {
       for (int i = 0; i < kIters; ++i)
-        atomic_exec(fb, [&] { ++counter; });
+        atomic_exec(&fb, [&] { ++counter; });
     });
   }
   for (auto& t : ts) t.join();
@@ -199,7 +199,7 @@ TEST(AtomicExec, MultiWordAtomicVisibility) {
     std::uint64_t v = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       ++v;
-      atomic_exec(fb, [&] {
+      atomic_exec(&fb, [&] {
         seq.write_begin();
         for (auto& w : words) w = v;
         seq.write_end();
@@ -226,7 +226,7 @@ TEST(AtomicExec, MultiWordAtomicVisibility) {
 TEST(AtomicExec, StatsRecordCommits) {
   SpinLock fb;
   tls_htm_stats().reset();
-  for (int i = 0; i < 100; ++i) atomic_exec(fb, [] {});
+  for (int i = 0; i < 100; ++i) atomic_exec(&fb, [] {});
   EXPECT_EQ(tls_htm_stats().commits, 100u);
 }
 

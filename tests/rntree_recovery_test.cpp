@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "core/rntree.hpp"
 #include "nvm/pool.hpp"

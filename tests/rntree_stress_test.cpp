@@ -24,6 +24,8 @@
 
 #include "common/rng.hpp"
 #include "core/rntree.hpp"
+#include "htm/abort_inject.hpp"
+#include "htm/smo.hpp"
 #include "nvm/pool.hpp"
 
 namespace rnt::core {
@@ -195,23 +197,26 @@ TEST_P(RNTreeStressTest, SplitStormWithTrailingReaders) {
   tree_->check_invariants();
 }
 
-TEST_P(RNTreeStressTest, CrossStripeSplitStorm) {
-  // Striped fallback locks at their most adversarial: 2 stripes, so nearly
-  // every split's MultiStripeGuard spans both stripe locks while
-  // concurrent writers publish against each, and the SMO install runs
-  // after the guard's early release.  Two writers insert disjoint
-  // scrambled keyspaces (split-heavy), one writer hammers updates on a
-  // settled prefix (publish-heavy), one reader sweeps.  Run under TSan
-  // this is the cross-stripe lock-order/race check; under a plain build it
-  // is a lost-key/invariant check.
+TEST_P(RNTreeStressTest, PublishStormSplitHeavy) {
+  // Publish fallbacks at their most frequent: a seeded 800-permille abort
+  // storm on every transaction outside an SMO install, so most publishes
+  // fall back and run under their leaf lock alone, while splits rewrite
+  // the same slot lines and the SMO installs commit untouched.  Two
+  // writers insert disjoint scrambled keyspaces (split-heavy), one writer
+  // hammers updates on a settled prefix (publish-heavy), one reader
+  // sweeps.  Run under TSan this is the check that the leaf lock alone
+  // orders every slot-line writer; under a plain build it is a
+  // lost-key/invariant check.
   nvm::PmemPool pool(std::size_t{512} << 20);
-  Tree::Options opt;
-  opt.dual_slot = GetParam();
-  opt.fallback_stripes = 2;
-  Tree tree(pool, opt);
+  Tree tree(pool, Tree::Options{.dual_slot = GetParam()});
   constexpr std::uint64_t kSettled = 2000;
   for (std::uint64_t i = 0; i < kSettled; ++i)
     ASSERT_TRUE(tree.upsert(mix64(i), encode(mix64(i) & 0xFFFFFFFFFFFFull, 0)));
+
+  htm::RandomAbortInjector storm(/*seed=*/0x5107, /*abort_permille=*/800);
+  htm::PublishTargetedInjector publishes_only(storm);
+  const std::uint64_t fallbacks0 = htm::aggregate_htm_stats().fallbacks;
+  htm::ScopedAbortInjector scope(&publishes_only);
 
   constexpr std::uint64_t kInsertsPerWriter = 8000;
   std::atomic<bool> stop{false};
@@ -248,6 +253,8 @@ TEST_P(RNTreeStressTest, CrossStripeSplitStorm) {
   threads[2].join();
   threads[3].join();
 
+  EXPECT_GT(htm::aggregate_htm_stats().fallbacks, fallbacks0)
+      << "the storm never drove a publish onto its fallback";
   EXPECT_EQ(torn_reads.load(), 0u);
   EXPECT_EQ(tree.size(), kSettled + 2 * kInsertsPerWriter);
   tree.check_invariants();

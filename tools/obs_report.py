@@ -14,8 +14,7 @@ Reads one stats document (src/obs/export.hpp shape) and prints:
   * a tail-latency table for every "lat.*" histogram (count, mean,
     p50/p90/p99/p999 in both ns and human units),
   * an HTM abort-cause breakdown from the htm.* counters,
-  * striped fallback-lock activity (htm.stripe.*) and crash-recovery
-    counters (recovery.*) when the run recorded any,
+  * crash-recovery counters (recovery.*) when the run recorded any,
   * a contention heatmap table from "heatmap" — the hottest buckets ranked
     by contention score with per-cause counts and an ASCII heat bar — when
     the bench ran with --heatmap-buckets=N,
@@ -148,23 +147,6 @@ def print_aborts(counters):
         print(f"  fallbacks     {fmt_si(fb):>10}")
 
 
-def print_stripes(counters, gauges):
-    acq = counters.get("htm.stripe.acquisitions", 0)
-    if not acq:
-        return
-    print(f"\n== fallback stripes ({gauges.get('htm.stripe.count', '?')} "
-          f"configured) ==")
-    rows = [
-        ("acquisitions", acq),
-        ("fallbacks", counters.get("htm.stripe.fallbacks", 0)),
-        ("wait_timeouts", counters.get("htm.stripe.wait_timeouts", 0)),
-        ("multi_acquires", counters.get("htm.stripe.multi_acquires", 0)),
-        ("policy_tightenings", counters.get("htm.stripe.policy_tightenings", 0)),
-    ]
-    for name, v in rows:
-        print(f"  {name:<19} {fmt_si(v):>10}")
-
-
 def print_recovery(counters):
     runs = counters.get("recovery.runs", 0)
     if not runs:
@@ -271,7 +253,6 @@ def main():
         print("\n(no timeseries section — run the bench with --sample-ms=N)")
     print_latency(doc.get("histograms", {}))
     print_aborts(doc.get("counters", {}))
-    print_stripes(doc.get("counters", {}), doc.get("gauges", {}))
     print_recovery(doc.get("counters", {}))
     hm = doc.get("heatmap")
     if isinstance(hm, dict):
