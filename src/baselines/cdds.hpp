@@ -23,7 +23,7 @@
 #include "common/cacheline.hpp"
 #include "common/status.hpp"
 #include "htm/version_lock.hpp"
-#include "obs/op_trace.hpp"
+#include "obs/op_scope.hpp"
 
 namespace rnt::baselines {
 
@@ -107,60 +107,60 @@ class CDDSTree : public TreeShell<Key, CddsLeaf<Key, Value>> {
   }
 
   common::Status insert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kInsert, k);
+    obs::OpScope op(obs::OpKind::kInsert, k);
     const common::Status s = insert_impl(k, v);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
 
   common::Status update(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpdate, k);
+    obs::OpScope op(obs::OpKind::kUpdate, k);
     const common::Status s = update_impl(k, v);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
 
   common::Status upsert(Key k, Value v) {
-    // One OpTrace for the whole upsert: the update/insert impls are called
+    // One OpScope for the whole upsert: the update/insert impls are called
     // directly so the composite records a single op.upsert, not two ops.
-    obs::OpTrace tr(obs::OpKind::kUpsert, k);
+    obs::OpScope op(obs::OpKind::kUpsert, k);
     const common::Status u = update_impl(k, v);
     if (u || u.pool_exhausted()) {
-      tr.finish(static_cast<bool>(u));
+      op.finish(static_cast<bool>(u));
       return u;
     }
     const common::Status s = insert_impl(k, v);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
 
   bool remove(Key k) {
-    obs::OpTrace tr(obs::OpKind::kRemove, k);
+    obs::OpScope op(obs::OpKind::kRemove, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     const int idx = leaf->find_live(k);
-    if (idx < 0) return tr.finish(false);
+    if (idx < 0) return op.finish(false);
     end_version(leaf, idx);
     this->size_.fetch_sub(1, std::memory_order_relaxed);
-    return tr.finish(true);
+    return op.finish(true);
   }
 
   std::optional<Value> find(Key k) const {
-    obs::OpTrace tr(obs::OpKind::kFind, k);
+    obs::OpScope op(obs::OpKind::kFind, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     const int idx = leaf->find_live(k);
     if (idx < 0) {
-      tr.finish(false);
+      op.finish(false);
       return std::nullopt;
     }
-    tr.finish(true);
+    op.finish(true);
     return leaf->entries[idx].value;
   }
 
   template <typename Fn>
   std::size_t scan(Key start, Fn&& fn) const {
-    obs::OpTrace tr(obs::OpKind::kScan, start);
+    obs::OpScope op(obs::OpKind::kScan, start);
     epoch::Guard g = this->epochs_.pin();
     std::size_t visited = 0;
     Leaf* leaf = locate(start);
@@ -173,14 +173,14 @@ class CDDSTree : public TreeShell<Key, CddsLeaf<Key, Value>> {
         if (first && e.key < start) continue;
         ++visited;
         if (!fn(e.key, e.value)) {
-          tr.finish(visited > 0);
+          op.finish(visited > 0);
           return visited;
         }
       }
       first = false;
       leaf = next_leaf(leaf);
     }
-    tr.finish(visited > 0);
+    op.finish(visited > 0);
     return visited;
   }
 
@@ -266,7 +266,7 @@ class CDDSTree : public TreeShell<Key, CddsLeaf<Key, Value>> {
     if (live < Leaf::kCap / 2) {
       // GC compaction (allocation-free): drop dead versions in place.
       leaf->vlock.set_split();
-      this->stats_.count_compaction();
+      detail::shell_counters().compactions.inc();
       begin_undo(undo, leaf, 0);
       src = reinterpret_cast<const Leaf*>(undo.data);
       compact_into(leaf, src, 0, Leaf::kCap, nullptr);
@@ -283,7 +283,7 @@ class CDDSTree : public TreeShell<Key, CddsLeaf<Key, Value>> {
       leaf->vlock.unlock();
       return nullptr;
     }
-    this->stats_.count_split();
+    detail::shell_counters().splits.inc();
     leaf->vlock.set_split();
     begin_undo(undo, leaf, new_off);
     src = reinterpret_cast<const Leaf*>(undo.data);

@@ -22,7 +22,7 @@
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "htm/version_lock.hpp"
-#include "obs/op_trace.hpp"
+#include "obs/op_scope.hpp"
 
 namespace rnt::baselines {
 
@@ -106,26 +106,26 @@ class FPTree : public TreeShell<Key, FpLeaf<Key, Value>> {
   }
 
   common::Status insert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kInsert, k);
+    obs::OpScope op(obs::OpKind::kInsert, k);
     const common::Status s = modify(k, v, Mode::kInsert);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status update(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpdate, k);
+    obs::OpScope op(obs::OpKind::kUpdate, k);
     const common::Status s = modify(k, v, Mode::kUpdate);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status upsert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpsert, k);
+    obs::OpScope op(obs::OpKind::kUpsert, k);
     const common::Status s = modify(k, v, Mode::kUpsert);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
 
   bool remove(Key k) {
-    obs::OpTrace tr(obs::OpKind::kRemove, k);
+    obs::OpScope op(obs::OpKind::kRemove, k);
     for (;;) {
       epoch::Guard g = this->epochs_.pin();
       Leaf* leaf = locate(k);
@@ -138,14 +138,14 @@ class FPTree : public TreeShell<Key, FpLeaf<Key, Value>> {
       const int slot = leaf->find_slot(k, bm);
       if (slot < 0) {
         leaf->vlock.unlock();
-        return tr.finish(false);
+        return op.finish(false);
       }
       // One persistent instruction: reset the bitmap bit.
       nvm::store_release(leaf->bitmap, std::uint64_t{bm & ~(1ull << slot)});
       nvm::persist(&leaf->bitmap, sizeof(std::uint64_t));
       this->size_.fetch_sub(1, std::memory_order_relaxed);
       leaf->vlock.unlock_and_bump();
-      return tr.finish(true);
+      return op.finish(true);
     }
   }
 
@@ -154,13 +154,13 @@ class FPTree : public TreeShell<Key, FpLeaf<Key, Value>> {
   /// documented behaviour, and the cause of its read latency under
   /// contention (Fig 9).
   std::optional<Value> find(Key k) const {
-    obs::OpTrace tr(obs::OpKind::kFind, k);
+    obs::OpScope op(obs::OpKind::kFind, k);
     for (;;) {
       epoch::Guard g = this->epochs_.pin();
       Leaf* leaf = this->inner_.find_leaf(k);
       const std::uint64_t v = leaf->vlock.raw();
       if (htm::VersionLock::locked(v) || htm::VersionLock::splitting(v)) {
-        this->stats_.count_find_retry();
+        detail::shell_counters().find_retries.inc();
         cpu_relax();
         continue;  // abort the "transaction", retraverse from the root
       }
@@ -170,10 +170,10 @@ class FPTree : public TreeShell<Key, FpLeaf<Key, Value>> {
       std::optional<Value> res;
       if (slot >= 0) res = leaf->logs[slot].value;
       if (leaf->vlock.raw() != v) {
-        this->stats_.count_find_retry();
+        detail::shell_counters().find_retries.inc();
         continue;  // a writer intervened: retry from the root
       }
-      tr.finish(res.has_value());
+      op.finish(res.has_value());
       return res;
     }
   }
@@ -182,7 +182,7 @@ class FPTree : public TreeShell<Key, FpLeaf<Key, Value>> {
   /// (Fig 6's cost).
   template <typename Fn>
   std::size_t scan(Key start, Fn&& fn) const {
-    obs::OpTrace tr(obs::OpKind::kScan, start);
+    obs::OpScope op(obs::OpKind::kScan, start);
     epoch::Guard g = this->epochs_.pin();
     std::size_t visited = 0;
     Leaf* leaf = locate(start);
@@ -208,14 +208,14 @@ class FPTree : public TreeShell<Key, FpLeaf<Key, Value>> {
         if (first && e.key < start) continue;
         ++visited;
         if (!fn(e.key, e.value)) {
-          tr.finish(visited > 0);
+          op.finish(visited > 0);
           return visited;
         }
       }
       first = false;
       leaf = nxt;
     }
-    tr.finish(visited > 0);
+    op.finish(visited > 0);
     return visited;
   }
 
@@ -310,7 +310,7 @@ class FPTree : public TreeShell<Key, FpLeaf<Key, Value>> {
     leaf->vlock.set_split();
     begin_undo(undo, leaf, new_off);
     const Leaf* src = reinterpret_cast<const Leaf*>(undo.data);
-    this->stats_.count_split();
+    detail::shell_counters().splits.inc();
 
     Leaf* nl = this->pool_.template ptr<Leaf>(new_off);
     nl->init();

@@ -23,7 +23,7 @@
 #include "common/cacheline.hpp"
 #include "common/status.hpp"
 #include "htm/version_lock.hpp"
-#include "obs/op_trace.hpp"
+#include "obs/op_scope.hpp"
 
 namespace rnt::baselines {
 
@@ -127,53 +127,53 @@ class NVTree : public TreeShell<Key, NvLeaf<Key, Value>> {
   }
 
   common::Status insert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kInsert, k);
+    obs::OpScope op(obs::OpKind::kInsert, k);
     const common::Status s = modify(k, v, Leaf::kInsertLog, false);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status update(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpdate, k);
+    obs::OpScope op(obs::OpKind::kUpdate, k);
     const common::Status s = modify(k, v, Leaf::kInsertLog, true);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status upsert(Key k, Value v) {
-    // One OpTrace for the whole upsert: calls modify directly (not the
+    // One OpScope for the whole upsert: calls modify directly (not the
     // instrumented insert/update wrappers) so a single op.upsert is
     // recorded.  Without conditional mode insert==update==append; with it,
     // try both.
-    obs::OpTrace tr(obs::OpKind::kUpsert, k);
+    obs::OpScope op(obs::OpKind::kUpsert, k);
     if (opt_.conditional_write) {
       const common::Status u = modify(k, v, Leaf::kInsertLog, true);
       if (u || u.pool_exhausted()) {
-        tr.finish(static_cast<bool>(u));
+        op.finish(static_cast<bool>(u));
         return u;
       }
     }
     const common::Status s = modify(k, v, Leaf::kInsertLog, false);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
 
   /// Remove appends a log entry, so (unlike the in-place trees) it consumes
   /// space and can report kPoolExhausted on a full leaf in a full pool.
   common::Status remove(Key k) {
-    obs::OpTrace tr(obs::OpKind::kRemove, k);
+    obs::OpScope op(obs::OpKind::kRemove, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     std::uint64_t n = leaf->n_element.load(std::memory_order_relaxed);
     if (opt_.conditional_write) {
       const Entry* cur = leaf->newest(k, n);
       if (cur == nullptr || cur->flag == Leaf::kRemoveLog) {
-        tr.finish(false);
+        op.finish(false);
         return common::StatusCode::kKeyAbsent;
       }
     }
     if (n >= Leaf::kLogCap) {
       leaf = split(leaf, k);
       if (leaf == nullptr) {
-        tr.finish(false);
+        op.finish(false);
         return common::StatusCode::kPoolExhausted;
       }
       n = leaf->n_element.load(std::memory_order_relaxed);
@@ -182,21 +182,21 @@ class NVTree : public TreeShell<Key, NvLeaf<Key, Value>> {
     // size counter is then approximate, matching the original's semantics.
     append(leaf, n, Entry{Leaf::kRemoveLog, k, Value{}, 0});
     this->size_.fetch_sub(1, std::memory_order_relaxed);
-    tr.finish(true);
+    op.finish(true);
     return common::OkStatus();
   }
 
   std::optional<Value> find(Key k) const {
-    obs::OpTrace tr(obs::OpKind::kFind, k);
+    obs::OpScope op(obs::OpKind::kFind, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     const std::uint64_t n = leaf->n_element.load(std::memory_order_acquire);
     const Entry* e = leaf->newest(k, n);
     if (e == nullptr || e->flag == Leaf::kRemoveLog) {
-      tr.finish(false);
+      op.finish(false);
       return std::nullopt;
     }
-    tr.finish(true);
+    op.finish(true);
     return e->value;
   }
 
@@ -204,7 +204,7 @@ class NVTree : public TreeShell<Key, NvLeaf<Key, Value>> {
   /// the cost the paper's Fig 6 quantifies.
   template <typename Fn>
   std::size_t scan(Key start, Fn&& fn) const {
-    obs::OpTrace tr(obs::OpKind::kScan, start);
+    obs::OpScope op(obs::OpKind::kScan, start);
     epoch::Guard g = this->epochs_.pin();
     std::size_t visited = 0;
     Leaf* leaf = locate(start);
@@ -218,14 +218,14 @@ class NVTree : public TreeShell<Key, NvLeaf<Key, Value>> {
         if (first && k < start) continue;
         ++visited;
         if (!fn(k, v)) {
-          tr.finish(visited > 0);
+          op.finish(visited > 0);
           return visited;
         }
       }
       first = false;
       leaf = next_leaf(leaf);
     }
-    tr.finish(visited > 0);
+    op.finish(visited > 0);
     return visited;
   }
 
@@ -293,7 +293,7 @@ class NVTree : public TreeShell<Key, NvLeaf<Key, Value>> {
       // Compaction: rewrite the log area with only live inserts.
       leaf->vlock.lock();
       leaf->vlock.set_split();
-      this->stats_.count_compaction();
+      detail::shell_counters().compactions.inc();
       begin_undo(undo, leaf, 0);
       rewrite(leaf, live, 0, live.size());
       nvm::persist(leaf, sizeof(Leaf));
@@ -307,7 +307,7 @@ class NVTree : public TreeShell<Key, NvLeaf<Key, Value>> {
     // so exhaustion is detected while nothing has been mutated.
     const std::uint64_t new_off = this->pool_.alloc(sizeof(Leaf));
     if (new_off == 0) return nullptr;
-    this->stats_.count_split();
+    detail::shell_counters().splits.inc();
     leaf->vlock.lock();
     leaf->vlock.set_split();
     begin_undo(undo, leaf, new_off);

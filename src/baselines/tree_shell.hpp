@@ -28,8 +28,8 @@ namespace rnt::baselines {
 
 namespace detail {
 
-// Process-wide structural counters shared by every baseline instantiation;
-// each ShellStats keeps its own per-instance atomics and mirrors here.
+// Process-wide structural counters shared by every baseline instantiation,
+// the only count of these events (read them as deltas).
 struct ShellCounters {
   obs::Counter splits{"shell.splits"};
   obs::Counter compactions{"shell.compactions"};
@@ -42,29 +42,6 @@ inline const ShellCounters& shell_counters() {
 }
 
 }  // namespace detail
-
-struct ShellStats {
-  std::atomic<std::uint64_t> splits{0};
-  std::atomic<std::uint64_t> compactions{0};
-  std::atomic<std::uint64_t> find_retries{0};
-  void count_split() noexcept {
-    splits.fetch_add(1, std::memory_order_relaxed);
-    detail::shell_counters().splits.inc();
-  }
-  void count_compaction() noexcept {
-    compactions.fetch_add(1, std::memory_order_relaxed);
-    detail::shell_counters().compactions.inc();
-  }
-  void count_find_retry() noexcept {
-    find_retries.fetch_add(1, std::memory_order_relaxed);
-    detail::shell_counters().find_retries.inc();
-  }
-  void reset() noexcept {
-    splits = 0;
-    compactions = 0;
-    find_retries = 0;
-  }
-};
 
 template <typename Key, typename LeafT>
 class TreeShell {
@@ -98,8 +75,6 @@ class TreeShell {
     return static_cast<std::size_t>(size_.load(std::memory_order_relaxed));
   }
   int height() const noexcept { return inner_.height(); }
-  const ShellStats& stats() const noexcept { return stats_; }
-  ShellStats& stats() noexcept { return stats_; }
 
   std::size_t leaf_count() const {
     std::size_t n = 0;
@@ -208,7 +183,6 @@ class TreeShell {
   mutable epoch::EpochManager epochs_;
   inner::InnerTree<Key, Leaf> inner_;
   std::atomic<std::int64_t> size_{0};
-  mutable ShellStats stats_;
 };
 
 }  // namespace rnt::baselines

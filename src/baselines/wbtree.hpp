@@ -22,7 +22,7 @@
 #include "common/status.hpp"
 #include "core/slot_util.hpp"
 #include "htm/version_lock.hpp"
-#include "obs/op_trace.hpp"
+#include "obs/op_scope.hpp"
 
 namespace rnt::baselines {
 
@@ -109,31 +109,31 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
   }
 
   common::Status insert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kInsert, k);
+    obs::OpScope op(obs::OpKind::kInsert, k);
     const common::Status s = modify(k, v, Mode::kInsert);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status update(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpdate, k);
+    obs::OpScope op(obs::OpKind::kUpdate, k);
     const common::Status s = modify(k, v, Mode::kUpdate);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status upsert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpsert, k);
+    obs::OpScope op(obs::OpKind::kUpsert, k);
     const common::Status s = modify(k, v, Mode::kUpsert);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
 
   bool remove(Key k) {
-    obs::OpTrace tr(obs::OpKind::kRemove, k);
+    obs::OpScope op(obs::OpKind::kRemove, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     const int pos = core::slot_lower_bound(leaf->pslot, leaf->logs, k);
     if (!core::slot_match(leaf->pslot, leaf->logs, pos, k))
-      return tr.finish(false);
+      return op.finish(false);
     // Three persistent instructions: valid:=0, slot array, valid:=1.
     set_valid(leaf, 0);
     core::slot_remove_at(leaf->pslot, pos);
@@ -141,26 +141,26 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
     nvm::persist(leaf->pslot, kCacheLineSize);
     set_valid(leaf, 1);
     this->size_.fetch_sub(1, std::memory_order_relaxed);
-    return tr.finish(true);
+    return op.finish(true);
   }
 
   std::optional<Value> find(Key k) const {
-    obs::OpTrace tr(obs::OpKind::kFind, k);
+    obs::OpScope op(obs::OpKind::kFind, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     prefetch_range(leaf, sizeof(Leaf));  // overlap fetch with binary probes
     const int pos = core::slot_lower_bound(leaf->pslot, leaf->logs, k);
     if (!core::slot_match(leaf->pslot, leaf->logs, pos, k)) {
-      tr.finish(false);
+      op.finish(false);
       return std::nullopt;
     }
-    tr.finish(true);
+    op.finish(true);
     return leaf->logs[leaf->pslot[1 + pos]].value;
   }
 
   template <typename Fn>
   std::size_t scan(Key start, Fn&& fn) const {
-    obs::OpTrace tr(obs::OpKind::kScan, start);
+    obs::OpScope op(obs::OpKind::kScan, start);
     epoch::Guard g = this->epochs_.pin();
     std::size_t visited = 0;
     Leaf* leaf = locate(start);
@@ -173,14 +173,14 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
         const Entry& e = leaf->logs[leaf->pslot[1 + i]];
         ++visited;
         if (!fn(e.key, e.value)) {
-          tr.finish(visited > 0);
+          op.finish(visited > 0);
           return visited;
         }
       }
       first = false;
       leaf = next_leaf(leaf);
     }
-    tr.finish(visited > 0);
+    op.finish(visited > 0);
     return visited;
   }
 
@@ -272,7 +272,7 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
     if (live < static_cast<int>(core::kSlotCap) / 2) {
       leaf->vlock.lock();
       leaf->vlock.set_split();
-      this->stats_.count_compaction();
+      detail::shell_counters().compactions.inc();
       begin_undo(undo, leaf, 0);
       const Leaf* src = reinterpret_cast<const Leaf*>(undo.data);
       compact_into(leaf, src, 0, live);
@@ -287,7 +287,7 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
     // so exhaustion is detected while nothing has been mutated.
     const std::uint64_t new_off = this->pool_.alloc(sizeof(Leaf));
     if (new_off == 0) return nullptr;
-    this->stats_.count_split();
+    detail::shell_counters().splits.inc();
     leaf->vlock.lock();
     leaf->vlock.set_split();
     begin_undo(undo, leaf, new_off);
@@ -420,56 +420,56 @@ class WBTreeSO : public TreeShell<Key, WbSoLeaf<Key, Value>> {
   }
 
   common::Status insert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kInsert, k);
+    obs::OpScope op(obs::OpKind::kInsert, k);
     const common::Status s = modify(k, v, Mode::kInsert);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status update(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpdate, k);
+    obs::OpScope op(obs::OpKind::kUpdate, k);
     const common::Status s = modify(k, v, Mode::kUpdate);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
   common::Status upsert(Key k, Value v) {
-    obs::OpTrace tr(obs::OpKind::kUpsert, k);
+    obs::OpScope op(obs::OpKind::kUpsert, k);
     const common::Status s = modify(k, v, Mode::kUpsert);
-    tr.finish(static_cast<bool>(s));
+    op.finish(static_cast<bool>(s));
     return s;
   }
 
   bool remove(Key k) {
-    obs::OpTrace tr(obs::OpKind::kRemove, k);
+    obs::OpScope op(obs::OpKind::kRemove, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     std::uint8_t slot[8];
     Leaf::unpack(leaf->slot_word.load(std::memory_order_relaxed), slot);
     const int pos = core::slot_lower_bound(slot, leaf->logs, k);
-    if (!core::slot_match(slot, leaf->logs, pos, k)) return tr.finish(false);
+    if (!core::slot_match(slot, leaf->logs, pos, k)) return op.finish(false);
     core::slot_remove_at(slot, pos);
     publish_slot(leaf, slot);  // single persistent instruction
     this->size_.fetch_sub(1, std::memory_order_relaxed);
-    return tr.finish(true);
+    return op.finish(true);
   }
 
   std::optional<Value> find(Key k) const {
-    obs::OpTrace tr(obs::OpKind::kFind, k);
+    obs::OpScope op(obs::OpKind::kFind, k);
     epoch::Guard g = this->epochs_.pin();
     Leaf* leaf = locate(k);
     std::uint8_t slot[8];
     Leaf::unpack(leaf->slot_word.load(std::memory_order_acquire), slot);
     const int pos = core::slot_lower_bound(slot, leaf->logs, k);
     if (!core::slot_match(slot, leaf->logs, pos, k)) {
-      tr.finish(false);
+      op.finish(false);
       return std::nullopt;
     }
-    tr.finish(true);
+    op.finish(true);
     return leaf->logs[slot[1 + pos]].value;
   }
 
   template <typename Fn>
   std::size_t scan(Key start, Fn&& fn) const {
-    obs::OpTrace tr(obs::OpKind::kScan, start);
+    obs::OpScope op(obs::OpKind::kScan, start);
     epoch::Guard g = this->epochs_.pin();
     std::size_t visited = 0;
     Leaf* leaf = locate(start);
@@ -483,14 +483,14 @@ class WBTreeSO : public TreeShell<Key, WbSoLeaf<Key, Value>> {
         const Entry& e = leaf->logs[slot[1 + i]];
         ++visited;
         if (!fn(e.key, e.value)) {
-          tr.finish(visited > 0);
+          op.finish(visited > 0);
           return visited;
         }
       }
       first = false;
       leaf = next_leaf(leaf);
     }
-    tr.finish(visited > 0);
+    op.finish(visited > 0);
     return visited;
   }
 
@@ -552,7 +552,7 @@ class WBTreeSO : public TreeShell<Key, WbSoLeaf<Key, Value>> {
     // Pre-flight: sibling space before the lock/splitting bit.
     const std::uint64_t new_off = this->pool_.alloc(sizeof(Leaf));
     if (new_off == 0) return nullptr;
-    this->stats_.count_split();
+    detail::shell_counters().splits.inc();
     nvm::UndoSlot& undo = my_undo();
     leaf->vlock.lock();
     leaf->vlock.set_split();

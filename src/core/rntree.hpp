@@ -50,16 +50,17 @@
 #include "nvm/pool.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/metrics.hpp"
-#include "obs/op_trace.hpp"
+#include "obs/op_scope.hpp"
 #include "obs/phase.hpp"
 
 namespace rnt::core {
 
 namespace detail {
 
-// Process-wide structural counters mirrored by every RNTree instance (the
-// registry view of TreeStats; thread-sharded, so mirroring costs a couple
-// of nanoseconds on the already-rare split/retry paths).
+// Process-wide structural counters, the only count of these events (read
+// them as deltas: every RNTree instance adds to the same counters).
+// Thread-sharded, so counting costs a couple of nanoseconds on the
+// already-rare split/retry paths.
 struct TreeCounters {
   obs::Counter leaf_splits{"tree.leaf_splits"};
   obs::Counter shrink_splits{"tree.shrink_splits"};
@@ -90,43 +91,6 @@ inline const RecoveryCounters& recovery_counters() {
 }
 
 }  // namespace detail
-
-/// Per-tree operation statistics (relaxed counters; approximate under
-/// concurrency, exact single-threaded).  The count_* helpers also mirror
-/// into the process-wide obs registry (tree.* counters) so every increment
-/// shows up in `--stats-json` exports.
-struct TreeStats {
-  std::atomic<std::uint64_t> splits{0};
-  std::atomic<std::uint64_t> shrink_splits{0};
-  std::atomic<std::uint64_t> find_retries{0};
-  std::atomic<std::uint64_t> modify_restarts{0};
-
-  void count_split() noexcept {
-    splits.fetch_add(1, std::memory_order_relaxed);
-    detail::tree_counters().leaf_splits.inc();
-    detail::tree_counters().smo.inc();
-  }
-  void count_shrink_split() noexcept {
-    shrink_splits.fetch_add(1, std::memory_order_relaxed);
-    detail::tree_counters().shrink_splits.inc();
-    detail::tree_counters().smo.inc();
-  }
-  void count_find_retry() noexcept {
-    find_retries.fetch_add(1, std::memory_order_relaxed);
-    detail::tree_counters().find_retries.inc();
-  }
-  void count_modify_restart() noexcept {
-    modify_restarts.fetch_add(1, std::memory_order_relaxed);
-    detail::tree_counters().modify_restarts.inc();
-  }
-
-  void reset() noexcept {
-    splits = 0;
-    shrink_splits = 0;
-    find_retries = 0;
-    modify_restarts = 0;
-  }
-};
 
 template <typename Key = std::uint64_t, typename Value = std::uint64_t>
 class RNTree {
@@ -259,8 +223,7 @@ class RNTree {
   /// Remove; returns false if the key was absent.  A single persistent
   /// instruction (the slot-array flush) — no log entry is consumed.
   bool remove(Key k) {
-    obs::OpTrace tr(obs::OpKind::kRemove, k);
-    obs::HeatScope hs(k);
+    obs::OpScope op(obs::OpKind::kRemove, k);
     for (;;) {
       epoch::Guard g = epochs_.pin();
       Leaf* leaf = inner_.find_leaf(k);
@@ -272,17 +235,16 @@ class RNTree {
       }
       if (!covers(leaf, k)) {
         leaf->vlock.unlock();
-        stats_.count_modify_restart();
+        detail::tree_counters().modify_restarts.inc();
         continue;
       }
-      tr.leaf(pool_.off(leaf));
-      hs.leaf(pool_.off(leaf));
+      op.leaf(pool_.off(leaf));
       // Under the lock pslot and fps are quiescent and position-parallel:
       // probe them in place, no binary search.
       const int pos = slot_fp_find(leaf->pslot, leaf->fps, leaf->logs, k);
       if (pos < 0) {
         leaf->vlock.unlock();
-        return tr.finish(false);
+        return op.finish(false);
       }
       alignas(kCacheLineSize) std::uint8_t snew[kCacheLineSize];
       alignas(kCacheLineSize) std::uint8_t fnew[kCacheLineSize];
@@ -292,7 +254,7 @@ class RNTree {
       publish_slot(leaf, snew, fnew);
       size_.fetch_sub(1, std::memory_order_relaxed);
       leaf->vlock.unlock();
-      return tr.finish(true);
+      return op.finish(true);
     }
   }
 
@@ -301,8 +263,7 @@ class RNTree {
   /// costs zero key loads, a hit one (false positives are verified through
   /// the indirection, so they only cost an extra load).
   RNT_NO_SANITIZE_THREAD std::optional<Value> find(Key k) const {
-    obs::OpTrace tr(obs::OpKind::kFind, k);
-    obs::HeatScope hs(k);
+    obs::OpScope op(obs::OpKind::kFind, k);
     epoch::Guard g = epochs_.pin();
     for (;;) {
       Leaf* leaf = inner_.find_leaf(k);
@@ -320,7 +281,7 @@ class RNTree {
         }
         alignas(kCacheLineSize) std::uint8_t snap[2 * kCacheLineSize];
         if (!snapshot_slot(leaf, snap)) {
-          stats_.count_find_retry();
+          detail::tree_counters().find_retries.inc();
           continue;
         }
         const int pos = slot_fp_find(snap, snap + kCacheLineSize, leaf->logs, k);
@@ -334,12 +295,11 @@ class RNTree {
           res = val;
         }
         if (leaf->vlock.stable_version() != v) {
-          stats_.count_find_retry();
+          detail::tree_counters().find_retries.inc();
           continue;  // split raced; snapshot may index rewritten logs
         }
-        tr.leaf(pool_.off(leaf));
-        hs.leaf(pool_.off(leaf));
-        tr.finish(res.has_value());
+        op.leaf(pool_.off(leaf));
+        op.finish(res.has_value());
         return res;
       }
     }
@@ -351,8 +311,7 @@ class RNTree {
   /// next chain exactly as the paper describes.
   template <typename Fn>
   RNT_NO_SANITIZE_THREAD std::size_t scan(Key start, Fn&& fn) const {
-    obs::OpTrace tr(obs::OpKind::kScan, start);
-    obs::HeatScope hs(start);
+    obs::OpScope op(obs::OpKind::kScan, start);
     epoch::Guard g = epochs_.pin();
     std::size_t visited = 0;
     Leaf* leaf = inner_.find_leaf(start);
@@ -375,8 +334,7 @@ class RNTree {
       Leaf* nxt = pool_.ptr<Leaf>(leaf->next.load(std::memory_order_acquire));
       if (leaf->vlock.stable_version() != v) continue;  // split raced: redo leaf
       if (first) {
-        tr.leaf(pool_.off(leaf));
-        hs.leaf(pool_.off(leaf));
+        op.leaf(pool_.off(leaf));
       } else if (n_batch > 0) {
         // Attribute heat to every leaf the scan actually visits, not just
         // its start bucket — a 1000-key scan heats the whole visited range.
@@ -386,13 +344,13 @@ class RNTree {
       for (int i = 0; i < n_batch; ++i) {
         ++visited;
         if (!fn(batch[i].key, batch[i].value)) {
-          tr.finish(visited > 0);
+          op.finish(visited > 0);
           return visited;
         }
       }
       leaf = nxt;
     }
-    tr.finish(visited > 0);
+    op.finish(visited > 0);
     return visited;
   }
 
@@ -413,8 +371,6 @@ class RNTree {
     return static_cast<std::size_t>(size_.load(std::memory_order_relaxed));
   }
 
-  const TreeStats& stats() const noexcept { return stats_; }
-  TreeStats& stats() noexcept { return stats_; }
   bool dual_slot() const noexcept { return opt_.dual_slot; }
   int height() const noexcept { return inner_.height(); }
 
@@ -621,11 +577,10 @@ class RNTree {
   };
 
   common::Status modify(Key k, Value v, Mode mode) {
-    obs::OpTrace tr(mode == Mode::kInsert   ? obs::OpKind::kInsert
+    obs::OpScope op(mode == Mode::kInsert   ? obs::OpKind::kInsert
                     : mode == Mode::kUpdate ? obs::OpKind::kUpdate
                                             : obs::OpKind::kUpsert,
                     k);
-    obs::HeatScope hs(k);
     for (;;) {
       epoch::Guard g = epochs_.pin();
       Leaf* leaf = inner_.find_leaf(k);
@@ -654,7 +609,7 @@ class RNTree {
       WriterRef wref{leaf};
       if (htm::VersionLock::splitting(leaf->vlock.raw())) {
         wref.release();
-        stats_.count_modify_restart();
+        detail::tree_counters().modify_restarts.inc();
         continue;
       }
 
@@ -668,10 +623,10 @@ class RNTree {
           // not apply), and there is no room for a sibling: the op cannot
           // proceed.  Nothing was mutated — fail cleanly instead of
           // spinning on a split that can never happen.
-          tr.finish(false);
+          op.finish(false);
           return fs;
         }
-        stats_.count_modify_restart();
+        detail::tree_counters().modify_restarts.inc();
         continue;
       }
       // Step 2 (no coordination): write the KV.
@@ -682,8 +637,7 @@ class RNTree {
       wref.release();
 
       // Step 4 (concurrency): take the leaf lock, make the entry reachable.
-      tr.leaf(pool_.off(leaf));
-      hs.leaf(pool_.off(leaf));
+      op.leaf(pool_.off(leaf));
       {
         obs::PhaseTimer pt(obs::Phase::kLockWait);
         leaf->vlock.lock();
@@ -694,7 +648,7 @@ class RNTree {
         // A split raced us: our log entry may have been compacted over.
         // Abandon it (the slot array never pointed at it) and retry.
         leaf->vlock.unlock();
-        stats_.count_modify_restart();
+        detail::tree_counters().modify_restarts.inc();
         continue;
       }
 
@@ -714,7 +668,7 @@ class RNTree {
         const bool full = leaf->plogs >= Leaf::kLogCap - 1;
         if (full) (void)split_locked(leaf, &res);
         leaf->vlock.unlock();
-        tr.finish(false);
+        op.finish(false);
         return mode == Mode::kInsert ? common::StatusCode::kKeyExists
                                      : common::StatusCode::kKeyAbsent;
       }
@@ -727,10 +681,10 @@ class RNTree {
         const common::Status ss = split_locked(leaf, &res);
         leaf->vlock.unlock();
         if (ss.pool_exhausted()) {
-          tr.finish(false);
+          op.finish(false);
           return ss;
         }
-        stats_.count_modify_restart();
+        detail::tree_counters().modify_restarts.inc();
         continue;  // the split bumped the version: re-locate and retry
       }
       alignas(kCacheLineSize) std::uint8_t snew[kCacheLineSize];
@@ -754,7 +708,7 @@ class RNTree {
       if (leaf->plogs >= Leaf::kLogCap - 1 || snew[0] >= kSlotCap)
         (void)split_locked(leaf, &res);
       leaf->vlock.unlock();
-      tr.finish(true);
+      op.finish(true);
       return common::OkStatus();
     }
   }
@@ -792,7 +746,8 @@ class RNTree {
                                       ? res->consume()
                                       : pool_.alloc(sizeof(Leaf));
     if (new_off == 0) return common::StatusCode::kPoolExhausted;
-    stats_.count_split();
+    detail::tree_counters().leaf_splits.inc();
+    detail::tree_counters().smo.inc();
     leaf->vlock.set_split();
     quiesce_writers(leaf);
 
@@ -859,7 +814,8 @@ class RNTree {
   /// Shrink-split: obsolete log entries dominate; compact in place.
   /// (kSmo attribution comes from split_locked, its only caller.)
   void compact_locked(Leaf* leaf) {
-    stats_.count_shrink_split();
+    detail::tree_counters().shrink_splits.inc();
+    detail::tree_counters().smo.inc();
     leaf->vlock.set_split();
     quiesce_writers(leaf);
     nvm::UndoSlot& undo = pool_.undo_slot(pmem_thread_id());
@@ -1098,7 +1054,6 @@ class RNTree {
   mutable epoch::EpochManager epochs_;
   inner::InnerTree<Key, Leaf> inner_;
   std::atomic<std::int64_t> size_{0};
-  mutable TreeStats stats_;
   common::Status recovery_status_;
   const char* recovery_detail_ = "";
 };

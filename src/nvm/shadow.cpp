@@ -36,7 +36,7 @@ void ShadowPool::track_event() {
     crashed_ = true;
     crash_at_event_ = kNoCrashScheduled;
     // Post-mortem: with tracing on, show what every thread was doing when
-    // the injected crash fired (the in-flight op lands once its OpTrace
+    // the injected crash fired (the in-flight op lands once its OpScope
     // unwinds and records itself with result=crash).
     if (obs::trace_enabled()) {
       std::fprintf(stderr, "ShadowPool: injected crash at event %llu\n",

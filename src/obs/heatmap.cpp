@@ -1,8 +1,7 @@
 #include "obs/heatmap.hpp"
 
-#if !defined(RNTREE_NO_HEATMAP)
-
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -146,9 +145,6 @@ void append_double(std::string& out, double v) {
 
 namespace detail {
 
-std::atomic<bool> g_heat_enabled{false};
-thread_local HeatTls t_heat{kHeatNoBucket};
-
 void heat_add(std::uint32_t bucket, HeatCause c) noexcept {
   HeatSlab& s = heat_slab();
   const std::size_t idx =
@@ -161,13 +157,13 @@ void heat_add(std::uint32_t bucket, HeatCause c) noexcept {
 
 void heat_set_target(std::uint64_t key) noexcept {
   const std::uint32_t b = heatmap_bucket_of(key);
-  t_heat.bucket = b;
+  t_op.op.heat_bucket = b;
   heat_add(b, HeatCause::kOp);
 }
 
 void heat_set_leaf(std::uint64_t leaf_off) noexcept {
   if (g_by_leaf.load(std::memory_order_relaxed))
-    t_heat.bucket = heatmap_bucket_of_leaf(leaf_off);
+    t_op.op.heat_bucket = heatmap_bucket_of_leaf(leaf_off);
 }
 
 }  // namespace detail
@@ -191,7 +187,7 @@ bool heatmap_valid_buckets(std::uint64_t n) noexcept {
 }
 
 void set_heatmap_enabled(bool on) noexcept {
-  detail::g_heat_enabled.store(on, std::memory_order_relaxed);
+  if (kOpObservation) detail::set_arm(detail::kArmHeat, on);
 }
 
 bool heatmap_configure(const HeatmapConfig& cfg) {
@@ -392,26 +388,3 @@ std::vector<HeatTrack> heatmap_tracks(std::size_t top_k) {
 }
 
 }  // namespace rnt::obs
-
-#else  // RNTREE_NO_HEATMAP
-
-// The TU still defines the detail symbols the header declares, so a library
-// built with the heatmap compiled out links cleanly against code that never
-// calls them.
-namespace rnt::obs::detail {
-std::atomic<bool> g_heat_enabled{false};
-thread_local HeatTls t_heat{rnt::obs::kHeatNoBucket};
-void heat_set_target(std::uint64_t) noexcept {}
-void heat_set_leaf(std::uint64_t) noexcept {}
-void heat_add(std::uint32_t, HeatCause) noexcept {}
-}  // namespace rnt::obs::detail
-
-namespace rnt::obs {
-const char* to_string(HeatCause) noexcept { return "?"; }
-bool heatmap_valid_buckets(std::uint64_t n) noexcept {
-  return n >= kHeatmapMinBuckets && n <= kHeatmapMaxBuckets &&
-         (n & (n - 1)) == 0;
-}
-}  // namespace rnt::obs
-
-#endif  // RNTREE_NO_HEATMAP

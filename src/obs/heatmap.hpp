@@ -17,11 +17,12 @@
 //     leaf, the bucket is re-derived from the leaf's pool offset, so
 //     attribution follows physical leaves across splits instead of key
 //     ranges.
-//   * The op's target is carried in TLS by an RAII HeatScope constructed at
-//     the RNTree op entry points; the retry machine in htm/rtm.hpp calls
-//     heatmap_record(cause) at each abort/fallback/timeout site and the TLS
-//     target names the bucket.  The DES simulator attributes directly with
-//     heatmap_record_at(key, cause).
+//   * The op's target rides in the per-thread OpContext record
+//     (obs/phase.hpp): the OpScope each tree op opens sets it from the op's
+//     key; the retry machine in htm/rtm.hpp calls heatmap_record(cause) at
+//     each abort/fallback/timeout site and that target names the bucket.
+//     The DES simulator attributes directly with heatmap_record_at(key,
+//     cause).
 //   * Storage is thread-sharded exactly like obs/metrics: per-thread plain
 //     u64 cells (atomic_ref relaxed), a registry mutex only for aggregation,
 //     and exited threads fold their cells into retired totals.
@@ -31,21 +32,21 @@
 //     default, which keeps ctest assertions deterministic).
 //
 // Cost contract (same as obs/phase.hpp): OFF by default — every
-// instrumentation point is one relaxed atomic load + predicted branch.
-// Defining RNTREE_NO_HEATMAP (CMake -DRNTREE_HEATMAP=OFF) compiles the whole
-// mechanism down to nothing so the perf gate can prove the disabled cost is
-// zero.
+// instrumentation point is one relaxed load of the arm word + predicted
+// branch.  With -DRNTREE_OP_OBSERVATION=OFF the heat bit can never be set,
+// so every recording site compiles to nothing.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "obs/phase.hpp"
+
 namespace rnt::obs {
 
 /// What happened at the op's target location.  kOp is the op itself
-/// (recorded by HeatScope so cold buckets are distinguishable from unvisited
+/// (recorded by OpScope so cold buckets are distinguishable from unvisited
 /// ones); the others mirror the htm.* counter families.
 enum class HeatCause : std::uint8_t {
   kConflict = 0,       ///< conflict abort
@@ -103,52 +104,17 @@ struct HeatTrack {
 };
 
 namespace detail {
-extern std::atomic<bool> g_heat_enabled;
-// Constant-initialised POD TLS: the current op's resolved bucket
-// (kHeatNoBucket when no HeatScope is armed).
-struct HeatTls {
-  std::uint32_t bucket;
-};
-extern thread_local HeatTls t_heat;
 void heat_set_target(std::uint64_t key) noexcept;     // also counts kOp
 void heat_set_leaf(std::uint64_t leaf_off) noexcept;  // by_leaf refinement
 void heat_add(std::uint32_t bucket, HeatCause c) noexcept;
 }  // namespace detail
 
-inline constexpr std::uint32_t kHeatNoBucket = ~0u;
-
-#if defined(RNTREE_NO_HEATMAP)
-
-inline bool heatmap_enabled() noexcept { return false; }
-inline void set_heatmap_enabled(bool) noexcept {}
-inline bool heatmap_configure(const HeatmapConfig&) noexcept { return false; }
-inline HeatmapConfig heatmap_config() noexcept { return {}; }
-inline std::uint32_t heatmap_bucket_of(std::uint64_t) noexcept { return 0; }
-inline std::uint32_t heatmap_bucket_of_leaf(std::uint64_t) noexcept { return 0; }
-inline void heatmap_record(HeatCause) noexcept {}
-inline void heatmap_record_at(std::uint64_t, HeatCause) noexcept {}
-inline void heatmap_decay(double) noexcept {}
-inline void heatmap_tick(std::uint64_t) noexcept {}
-inline void heatmap_reset() noexcept {}
-inline HeatmapSnapshot heatmap_snapshot() { return {}; }
-inline std::string heatmap_json() { return {}; }
-inline std::vector<HeatTrack> heatmap_tracks(std::size_t) { return {}; }
-
-class HeatScope {
- public:
-  explicit HeatScope(std::uint64_t) noexcept {}
-  void leaf(std::uint64_t) noexcept {}
-  HeatScope(const HeatScope&) = delete;
-  HeatScope& operator=(const HeatScope&) = delete;
-};
-
-#else
-
 inline bool heatmap_enabled() noexcept {
-  return detail::g_heat_enabled.load(std::memory_order_relaxed);
+  return kOpObservation && (detail::armed() & detail::kArmHeat) != 0;
 }
 
-/// Arm/disarm recording process-wide.  Enable only after configuring.
+/// Arm/disarm recording process-wide.  Enable only after configuring.  A
+/// no-op when compiled out.
 void set_heatmap_enabled(bool on) noexcept;
 
 /// Install @p cfg and clear the table.  Returns false (and changes nothing)
@@ -165,13 +131,13 @@ std::uint32_t heatmap_bucket_of(std::uint64_t key) noexcept;
 /// Leaf-address bucket of a leaf pool offset (by_leaf mode).
 std::uint32_t heatmap_bucket_of_leaf(std::uint64_t leaf_off) noexcept;
 
-/// Record @p c against the current op's TLS target (no-op when disabled or
-/// when no HeatScope is armed — an abort outside any tree op has no
+/// Record @p c against the open op's heat target (no-op when disabled or
+/// when no armed OpScope is open — an abort outside any tree op has no
 /// location).  One relaxed load + branch when disabled.
 inline void heatmap_record(HeatCause c) noexcept {
   if (!heatmap_enabled()) return;
-  const std::uint32_t b = detail::t_heat.bucket;
-  if (b != kHeatNoBucket) detail::heat_add(b, c);
+  const detail::OpFrame& f = detail::t_op.op;
+  if ((f.mask & detail::kArmHeat) != 0) detail::heat_add(f.heat_bucket, c);
 }
 
 /// Record @p c against @p key's range bucket directly (DES simulator path;
@@ -202,34 +168,5 @@ std::string heatmap_json();
 /// Time series of the @p top_k hottest buckets (by peak score across the
 /// retained samples) for Perfetto counter tracks.
 std::vector<HeatTrack> heatmap_tracks(std::size_t top_k);
-
-/// RAII op-target scope: constructed (with the op's key) at tree op entry
-/// points; restores the previous target on destruction so nested ops and
-/// post-op aborts never inherit a stale location.  Costs one relaxed load +
-/// branch when recording is off.
-class HeatScope {
- public:
-  explicit HeatScope(std::uint64_t key) noexcept {
-    if (!heatmap_enabled()) return;
-    armed_ = true;
-    prev_ = detail::t_heat.bucket;
-    detail::heat_set_target(key);
-  }
-  ~HeatScope() {
-    if (armed_) detail::t_heat.bucket = prev_;
-  }
-  /// Refine the target to the resolved leaf (by_leaf mode only).
-  void leaf(std::uint64_t leaf_off) noexcept {
-    if (armed_) detail::heat_set_leaf(leaf_off);
-  }
-  HeatScope(const HeatScope&) = delete;
-  HeatScope& operator=(const HeatScope&) = delete;
-
- private:
-  bool armed_ = false;
-  std::uint32_t prev_ = kHeatNoBucket;
-};
-
-#endif  // RNTREE_NO_HEATMAP
 
 }  // namespace rnt::obs

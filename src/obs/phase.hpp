@@ -1,9 +1,23 @@
-// Per-operation phase attribution — where inside an op the time went.
+// The per-op observation context: one thread-local record, one arm word, and
+// the phase timer that feeds it.
 //
-// The paper's cost model says persist ordering dominates transaction cost
-// and fallback serialization caps scalability; neither is visible in an
-// end-of-run latency histogram.  This module splits every tree operation
-// into four wall-time phases, accumulated on thread-local cycle counters:
+// Every tree operation opens one obs::OpScope (obs/op_scope.hpp).  What it
+// observes lives in ONE constant-initialised thread-local record per thread
+// (detail::t_op — the tdata_t idiom of the rcu-htm exemplars):
+//
+//   * the phase tick accumulators PhaseTimer adds to;
+//   * the open op's frame: its kind, key, leaf and outcome, the heat bucket
+//     it targets (read by heatmap_record() at every abort, fallback and
+//     lock-wait site in htm/rtm.hpp), and its start snapshot (clock, persist
+//     and HTM counters, phase ticks) that OpScope diffs when it closes.
+//
+// Three consumers arm the record, each one bit of one process-wide arm word
+// kept in sync by its existing setter: tracing (set_trace_capacity), phase
+// timing (set_phase_timing / --sample-ms / --perfetto) and the heatmap
+// (set_heatmap_enabled).  A disarmed OpScope or PhaseTimer costs one relaxed
+// load of that word and a branch.
+//
+// Phases split each op's wall time four ways, on thread-local TSC ticks:
 //
 //   kHtm      — inside the HTM retry machine: attempts, aborts, conflict
 //               backoff, bounded lock-subscription waits, and the committed
@@ -17,29 +31,29 @@
 //
 // Phases deliberately overlap where the code does (an SMO's persists count
 // in both kSmo and kPersist); they are attributions, not a partition.
+// OpScope records each nonzero per-op share into the `lat.phase.*`
+// histograms and the TraceEvent phase fields; the DES simulator records its
+// virtual-time delays through record_phase_ns() directly.
 //
-// Cost model: recording is OFF by default.  Each instrumentation point pays
-// one relaxed atomic load + predicted branch when disabled; enabling
-// (obs::set_phase_timing(true), done by the bench flags --sample-ms /
-// --perfetto) arms RDTSC reads around each phase.  Defining
-// RNTREE_NO_PHASE_TIMING compiles the whole mechanism out to nothing so the
-// perf gate can prove the disabled cost is zero.
-//
-// Per-op consumption: obs::OpTrace snapshots the thread-local tick
-// accumulators at op start, diffs them at op end, and records each nonzero
-// phase into the log-bucketed `lat.phase.*` registry histograms (exported
-// with p50/p90/p99/p999 by --stats-json) and into the TraceEvent phase
-// fields the Chrome-trace exporter renders as sub-slices.  The DES
-// simulator attributes its virtual-time delays through record_phase_ns()
-// directly — same histogram families, simulated clock.
+// Compile-out: -DRNTREE_OP_OBSERVATION=OFF defines RNTREE_NO_OP_OBSERVATION.
+// The phase and heat bits can then never be set, so phase timing and heat
+// attribution compile to nothing at every call site; ops still reach the
+// trace ring.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
 #include "common/timing.hpp"
+#include "obs/trace.hpp"
 
 namespace rnt::obs {
+
+#if defined(RNTREE_NO_OP_OBSERVATION)
+inline constexpr bool kOpObservation = false;
+#else
+inline constexpr bool kOpObservation = true;
+#endif
 
 enum class Phase : std::uint8_t { kHtm = 0, kLockWait, kPersist, kSmo };
 inline constexpr int kPhaseCount = 4;
@@ -52,54 +66,72 @@ struct PhaseTicks {
 };
 
 namespace detail {
-extern std::atomic<bool> g_phase_enabled;
-// Constant-initialised POD TLS: no guard check on the hot path.
-extern thread_local PhaseTicks t_phase;
+
+inline constexpr std::uint32_t kArmTrace = 1u << 0;
+inline constexpr std::uint32_t kArmPhase = 1u << 1;
+inline constexpr std::uint32_t kArmHeat = 1u << 2;
+
+extern std::atomic<std::uint32_t> g_arm;
+void set_arm(std::uint32_t bit, bool on) noexcept;
+inline std::uint32_t armed() noexcept {
+  return g_arm.load(std::memory_order_relaxed);
+}
+
+/// The op this thread has open (mask 0: none).
+struct OpFrame {
+  std::uint32_t mask;         ///< arm bits captured when the op opened
+  std::uint32_t heat_bucket;  ///< meaningful only when mask has kArmHeat
+  OpKind kind;
+  OpResult result;
+  std::uint64_t key;
+  std::uint64_t leaf;
+  std::uint64_t t0;
+  std::uint64_t persists;
+  std::uint64_t attempts;
+  std::uint64_t aborts_conflict;
+  std::uint64_t aborts_capacity;
+  std::uint64_t aborts_other;
+  std::uint64_t fallbacks;
+  PhaseTicks phase;
+};
+
+/// The per-thread record.  Constant-initialised POD: no TLS guard check on
+/// the hot path.
+struct OpContext {
+  PhaseTicks phase;  ///< cumulative ticks, added to by PhaseTimer
+  OpFrame op;
+};
+extern thread_local OpContext t_op;
+
 }  // namespace detail
 
+inline bool phase_timing_enabled() noexcept {
+  return kOpObservation && (detail::armed() & detail::kArmPhase) != 0;
+}
+
+/// Arm/disarm phase timing process-wide.  Enabling eagerly registers the
+/// lat.phase.* histograms so they appear in exports even before the first
+/// op completes.  A no-op when compiled out.
+void set_phase_timing(bool on) noexcept;
+
+/// This thread's cumulative phase ticks (diff around an op for its share).
+inline PhaseTicks phase_ticks_snapshot() noexcept { return detail::t_op.phase; }
+
 /// Record @p ns into the lat.phase.* histogram for @p p (registry-backed,
-/// thread-sharded).  Used by OpTrace's per-op diff and by the DES simulator
+/// thread-sharded).  Used by OpScope's per-op diff and by the DES simulator
 /// for virtual-time attribution.
 void record_phase_ns(Phase p, std::uint64_t ns);
 
 /// TSC ticks -> nanoseconds via the calibrated ratio.
 std::uint64_t phase_ticks_to_ns(std::uint64_t ticks) noexcept;
 
-#if defined(RNTREE_NO_PHASE_TIMING)
-
-inline bool phase_timing_enabled() noexcept { return false; }
-inline void set_phase_timing(bool) noexcept {}
-inline PhaseTicks phase_ticks_snapshot() noexcept { return {}; }
-
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase) noexcept {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-};
-
-#else
-
-inline bool phase_timing_enabled() noexcept {
-  return detail::g_phase_enabled.load(std::memory_order_relaxed);
-}
-
-/// Arm/disarm phase timing process-wide.  Enabling eagerly registers the
-/// lat.phase.* histograms so they appear in exports even before the first
-/// op completes.
-void set_phase_timing(bool on) noexcept;
-
-/// This thread's cumulative phase ticks (diff around an op for its share).
-inline PhaseTicks phase_ticks_snapshot() noexcept { return detail::t_phase; }
-
 /// RAII cycle timer: adds the scope's TSC ticks to this thread's
-/// accumulator for one phase.  When timing is disabled the constructor is
-/// one relaxed load + branch and the destructor one branch.
+/// accumulator for one phase.
 class PhaseTimer {
  public:
   explicit PhaseTimer(Phase p) noexcept {
     if (!phase_timing_enabled()) return;
-    slot_ = &detail::t_phase.t[static_cast<int>(p)];
+    slot_ = &detail::t_op.phase.t[static_cast<int>(p)];
     t0_ = rdtsc();
   }
   ~PhaseTimer() {
@@ -112,7 +144,5 @@ class PhaseTimer {
   std::uint64_t* slot_ = nullptr;
   std::uint64_t t0_ = 0;
 };
-
-#endif  // RNTREE_NO_PHASE_TIMING
 
 }  // namespace rnt::obs

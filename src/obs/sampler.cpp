@@ -90,14 +90,16 @@ struct Sampler::Impl {
 };
 
 Sampler::Impl* Sampler::impl() const {
-  // Lazily created and leaked: a sampler thread still running at process
-  // exit must not race destruction of its own state (stop() is the clean
-  // path; the destructor takes it for instances that go out of scope).
   if (impl_ == nullptr) impl_ = new Impl;
   return impl_;
 }
 
-Sampler::~Sampler() { stop(); }
+// stop() joins the sampling thread, so nothing can touch the state after it.
+Sampler::~Sampler() {
+  if (impl_ == nullptr) return;
+  stop();
+  delete impl_;
+}
 
 void Sampler::start(SamplerConfig cfg) {
   Impl* i = impl();

@@ -4,6 +4,8 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/phase.hpp"
+
 namespace rnt::obs {
 
 namespace {
@@ -64,9 +66,6 @@ const char* to_string(OpKind k) noexcept {
     case OpKind::kUpsert: return "upsert";
     case OpKind::kRemove: return "remove";
     case OpKind::kScan: return "scan";
-    case OpKind::kSplit: return "split";
-    case OpKind::kCompact: return "compact";
-    case OpKind::kRecover: return "recover";
     case OpKind::kOther: return "other";
   }
   return "?";
@@ -84,6 +83,7 @@ const char* to_string(OpResult r) noexcept {
 
 void set_trace_capacity(std::size_t events_per_thread) {
   g_cap.store(events_per_thread, std::memory_order_relaxed);
+  detail::set_arm(detail::kArmTrace, events_per_thread != 0);
 }
 
 std::size_t trace_capacity() noexcept {

@@ -14,7 +14,8 @@
 //
 // Enable with set_trace_capacity(n) before spawning workers (bench flag
 // --trace=N does this), or clear_traces() + set_trace_capacity(n) to resize
-// between phases.
+// between phases.  Tree ops reach the ring through obs::OpScope
+// (obs/op_scope.hpp), which set_trace_capacity arms.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +32,9 @@ enum class OpKind : std::uint16_t {
   kUpsert,
   kRemove,
   kScan,
-  kSplit,
-  kCompact,
-  kRecover,
   kOther,
 };
+inline constexpr int kOpKindCount = 7;
 
 enum class OpResult : std::uint16_t {
   kOk = 0,    ///< operation succeeded / key found

@@ -316,10 +316,11 @@ TEST_F(PersistCounts, FPTreeRemoveReclaimsSlotForReuse) {
   // Fill one leaf completely, remove one, insert again — must reuse the slot
   // without splitting.
   for (std::uint64_t i = 0; i < 64; ++i) ASSERT_TRUE(t.insert(i, i));
-  const auto splits_before = t.stats().splits.load();
+  const obs::Counter splits("shell.splits");
+  const std::uint64_t splits_before = splits.value();
   ASSERT_TRUE(t.remove(10));
   ASSERT_TRUE(t.insert(10, 100));
-  EXPECT_EQ(t.stats().splits.load(), splits_before);
+  EXPECT_EQ(splits.value(), splits_before);
   EXPECT_EQ(t.find(10), std::optional<std::uint64_t>(100));
 }
 

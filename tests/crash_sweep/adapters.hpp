@@ -1,5 +1,5 @@
 // Per-tree adapters for the crash-point sweep harness: construction,
-// recovery, structural counters, Table-1 persistent-instruction counts, and
+// recovery, structural counters (registry deltas), Table-1 persistent-instruction counts, and
 // the per-tree op stream that drives the compaction class.
 //
 // kEvictionSafe: WBTree's full-cache-line slot array cannot survive a torn
@@ -22,6 +22,12 @@
 
 namespace rnt::crash_sweep {
 
+/// Structural counts come from the process-wide registry counters, which
+/// every tree of a family shares: callers only ever take deltas.
+inline std::uint64_t counter(const char* name) {
+  return obs::Counter(name).value();
+}
+
 template <bool DualSlot>
 struct RnTreeAdapter {
   using Tree = core::RNTree<Key, Value>;
@@ -43,12 +49,8 @@ struct RnTreeAdapter {
     return std::make_unique<Tree>(typename Tree::recover_t{}, p,
                                   typename Tree::Options{.dual_slot = DualSlot});
   }
-  static std::uint64_t splits(const Tree& t) {
-    return t.stats().splits.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t compactions(const Tree& t) {
-    return t.stats().shrink_splits.load(std::memory_order_relaxed);
-  }
+  static std::uint64_t splits() { return counter("tree.leaf_splits"); }
+  static std::uint64_t compactions() { return counter("tree.shrink_splits"); }
   /// RNTree removes never consume a log entry, so compaction is driven by
   /// out-of-place updates: 8 live keys, then updates until the consumed-log
   /// counter fills and the low-occupancy split compacts in place.
@@ -77,12 +79,8 @@ struct NvTreeAdapter {
         typename Tree::recover_t{}, p,
         typename Tree::Options{.conditional_write = true});
   }
-  static std::uint64_t splits(const Tree& t) {
-    return t.stats().splits.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t compactions(const Tree& t) {
-    return t.stats().compactions.load(std::memory_order_relaxed);
-  }
+  static std::uint64_t splits() { return counter("shell.splits"); }
+  static std::uint64_t compactions() { return counter("shell.compactions"); }
   /// NVTree removes append log entries, so a remove CAN trigger the
   /// low-occupancy compaction: 8 live keys, then (insert fresh, remove it)
   /// pairs grow the log by one entry per op while live stays at 8.  The op
@@ -110,12 +108,8 @@ struct WbTreeAdapter {
   static std::unique_ptr<Tree> recover(nvm::PmemPool& p) {
     return std::make_unique<Tree>(typename Tree::recover_t{}, p);
   }
-  static std::uint64_t splits(const Tree& t) {
-    return t.stats().splits.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t compactions(const Tree& t) {
-    return t.stats().compactions.load(std::memory_order_relaxed);
-  }
+  static std::uint64_t splits() { return counter("shell.splits"); }
+  static std::uint64_t compactions() { return counter("shell.compactions"); }
   /// Out-of-place updates consume log entries until the log fills with 8
   /// live keys — the low-occupancy path compacts in place.
   static Step compaction_step(std::uint64_t i) {
@@ -142,12 +136,8 @@ struct WbTreeSoAdapter {
   static std::unique_ptr<Tree> recover(nvm::PmemPool& p) {
     return std::make_unique<Tree>(typename Tree::recover_t{}, p);
   }
-  static std::uint64_t splits(const Tree& t) {
-    return t.stats().splits.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t compactions(const Tree& t) {
-    return t.stats().compactions.load(std::memory_order_relaxed);
-  }
+  static std::uint64_t splits() { return counter("shell.splits"); }
+  static std::uint64_t compactions() { return counter("shell.compactions"); }
   /// No compaction path: the analogue is log-position reuse.  5 live keys
   /// leave 3 free positions among 8; a remove-then-reinsert cycle makes the
   /// reinsert take a position freed by the remove.  Step 12 (an odd cycle
@@ -177,12 +167,8 @@ struct FpTreeAdapter {
   static std::unique_ptr<Tree> recover(nvm::PmemPool& p) {
     return std::make_unique<Tree>(typename Tree::recover_t{}, p);
   }
-  static std::uint64_t splits(const Tree& t) {
-    return t.stats().splits.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t compactions(const Tree& t) {
-    return t.stats().compactions.load(std::memory_order_relaxed);
-  }
+  static std::uint64_t splits() { return counter("shell.splits"); }
+  static std::uint64_t compactions() { return counter("shell.compactions"); }
   /// No compaction path: the analogue is bitmap-slot reuse.  Inserts take
   /// the lowest clear bit, so reinserting after a remove reuses the freed
   /// position (new KV + fingerprint over a stale slot).  Step 15 (an odd

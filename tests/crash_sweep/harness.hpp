@@ -162,10 +162,10 @@ Scenario calibrate_split_scenario(OpClass cls, std::uint64_t base_inserts) {
   for (;; ++i) {
     if (i > base_inserts + 100000)
       throw std::logic_error("split calibration did not converge");
-    const std::uint64_t s0 = A::splits(*tree);
+    const std::uint64_t s0 = A::splits();
     const Step s = seq_insert_step(i);
     apply_step(*tree, m, s);
-    if (A::splits(*tree) > s0) {
+    if (A::splits() > s0) {
       sc.target = s;
       return sc;
     }
@@ -185,10 +185,10 @@ Scenario calibrate_compaction_scenario() {
   for (std::uint64_t i = 0;; ++i) {
     if (i > 5000)
       throw std::logic_error("compaction calibration did not converge");
-    const std::uint64_t c0 = A::compactions(*tree);
+    const std::uint64_t c0 = A::compactions();
     const Step s = A::compaction_step(i);
     apply_step(*tree, m, s);
-    if (A::compactions(*tree) > c0) {
+    if (A::compactions() > c0) {
       sc.target = s;
       return sc;
     }
@@ -255,8 +255,8 @@ CountResult count_events(const Scenario& sc) {
   auto tree = A::make(pool);
   Model m;
   for (const Step& s : sc.prep) apply_step(*tree, m, s);
-  const std::uint64_t splits0 = A::splits(*tree);
-  const std::uint64_t comps0 = A::compactions(*tree);
+  const std::uint64_t splits0 = A::splits();
+  const std::uint64_t comps0 = A::compactions();
   nvm::ShadowPool shadow(pool);
   const nvm::PersistStats before = nvm::tls_stats();
   apply_step(*tree, m, sc.target);
@@ -264,8 +264,8 @@ CountResult count_events(const Scenario& sc) {
   CountResult r;
   r.events = shadow.events_seen();
   r.persists = d.persist;
-  r.split_delta = A::splits(*tree) - splits0;
-  r.compaction_delta = A::compactions(*tree) - comps0;
+  r.split_delta = A::splits() - splits0;
+  r.compaction_delta = A::compactions() - comps0;
   r.height = tree->height();
   return r;
 }

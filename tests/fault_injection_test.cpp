@@ -28,6 +28,7 @@
 #include "nvm/pool.hpp"
 #include "nvm/shadow.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/op_scope.hpp"
 
 namespace rnt {
 namespace {
@@ -175,12 +176,13 @@ TEST(AbortInjection, BoundedLockWaitTimesOutInsteadOfSpinningForever) {
 // table; what it checks (bounded_lock_wait's heatmap attribution) is
 // unchanged.
 TEST(StripeTableTest, BoundedLockWaitRecordsLockWaitHeat) {
+  if (!obs::kOpObservation) GTEST_SKIP() << "heat attribution compiled out";
   ASSERT_TRUE(obs::heatmap_configure(
       {.buckets = 64, .by_leaf = false, .key_space = 0,
        .decay_half_life_s = 0.0}));
   obs::set_heatmap_enabled(true);
   {
-    obs::HeatScope scope(123);
+    obs::OpScope scope(obs::OpKind::kOther, 123);
     htm::SpinLock lk;
     lk.lock();
     RetryPolicy p;
@@ -233,8 +235,10 @@ TEST(AbortInjection, PublishFallbacksRunUnderTheLeafLockAlone) {
     ASSERT_TRUE(tree.insert(i, i).ok());
     oracle.emplace(i, i);
   }
-  const std::uint64_t splits0 = tree.stats().splits.load();
-  const std::uint64_t shrinks0 = tree.stats().shrink_splits.load();
+  const obs::Counter splits("tree.leaf_splits");
+  const obs::Counter shrinks("tree.shrink_splits");
+  const std::uint64_t splits0 = splits.value();
+  const std::uint64_t shrinks0 = shrinks.value();
 
   ScriptedAbortInjector inj({AbortCause::kCapacity});
   ScopedAbortInjector scope(&inj);
@@ -253,8 +257,8 @@ TEST(AbortInjection, PublishFallbacksRunUnderTheLeafLockAlone) {
       ++publishes;
     }
   });
-  EXPECT_EQ(tree.stats().splits.load(), splits0) << "a publish split a leaf";
-  EXPECT_EQ(tree.stats().shrink_splits.load(), shrinks0);
+  EXPECT_EQ(splits.value(), splits0) << "a publish split a leaf";
+  EXPECT_EQ(shrinks.value(), shrinks0);
   EXPECT_EQ(d.fallbacks, publishes);
   EXPECT_EQ(d.aborts_capacity, publishes);
   EXPECT_EQ(d.commits, publishes);

@@ -1,23 +1,27 @@
 // Contention-heatmap tests: bucketing math, deterministic attribution of
 // injected HTM aborts through the real RNTree op path, decay, exiting-thread
-// folding, and HeatScope TLS hygiene.
+// folding, OpScope heat-target hygiene, and baseline-tree op attribution.
+// The compiled-out build's inertness test lives in obs_test.cpp.
 #include "obs/heatmap.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "baselines/fptree.hpp"
 #include "common/rng.hpp"
 #include "core/rntree.hpp"
 #include "htm/abort_inject.hpp"
 #include "nvm/pool.hpp"
+#include "obs/op_scope.hpp"
 
 namespace rnt::obs {
 namespace {
 
-#if !defined(RNTREE_NO_HEATMAP)
+#if !defined(RNTREE_NO_OP_OBSERVATION)
 
 constexpr int kConflictIdx = static_cast<int>(HeatCause::kConflict);
 constexpr int kCapacityIdx = static_cast<int>(HeatCause::kCapacity);
@@ -214,13 +218,13 @@ TEST_F(HeatmapTest, ExitingThreadFoldsIntoRetiredTotals) {
   EXPECT_EQ(heatmap_snapshot().totals[kFallbackIdx], 5u);
 }
 
-TEST_F(HeatmapTest, HeatScopeRestoresPreviousTarget) {
+TEST_F(HeatmapTest, OpScopeRestoresPreviousTarget) {
   const std::uint64_t outer_key = 0;                // bucket 0
   const std::uint64_t inner_key = 0xFFull << 56;    // bucket 63
   {
-    HeatScope outer(outer_key);
+    OpScope outer(OpKind::kUpdate, outer_key);
     {
-      HeatScope inner(inner_key);
+      OpScope inner(OpKind::kFind, inner_key);
       heatmap_record(HeatCause::kConflict);
     }
     // The nested scope ended: aborts now charge the OUTER target again.
@@ -231,6 +235,19 @@ TEST_F(HeatmapTest, HeatScopeRestoresPreviousTarget) {
   EXPECT_EQ(count_at(63, kConflictIdx), 1u);
   EXPECT_EQ(count_at(0, kConflictIdx), 1u);
   EXPECT_EQ(heatmap_snapshot().totals[kConflictIdx], 2u);
+}
+
+// Baseline trees open the same OpScope as RNTree, so their ops heat their
+// key's bucket too.
+TEST_F(HeatmapTest, BaselineOpHeatsItsKeyBucket) {
+  nvm::PmemPool pool(64u << 20);
+  baselines::FPTree<std::uint64_t, std::uint64_t> tree(pool);
+  const std::uint64_t key = 0xC0ull << 56;
+  const std::uint32_t want = heatmap_bucket_of(key);
+  ASSERT_TRUE(tree.upsert(key, 1).ok());
+  ASSERT_EQ(tree.find(key), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(count_at(want, kOpIdx), 2u);
+  EXPECT_EQ(heatmap_snapshot().totals[kOpIdx], 2u);
 }
 
 TEST_F(HeatmapTest, JsonSectionShape) {
@@ -244,23 +261,7 @@ TEST_F(HeatmapTest, JsonSectionShape) {
   EXPECT_TRUE(heatmap_json().empty());  // exporter omits the section
 }
 
-#else  // RNTREE_NO_HEATMAP
-
-// Compiled-out build: the API must be callable and inert.
-TEST(HeatmapCompiledOut, EverythingIsInert) {
-  EXPECT_FALSE(heatmap_enabled());
-  set_heatmap_enabled(true);
-  EXPECT_FALSE(heatmap_enabled());
-  EXPECT_FALSE(heatmap_configure({.buckets = 64}));
-  heatmap_record_at(1, HeatCause::kConflict);
-  heatmap_record(HeatCause::kConflict);
-  EXPECT_TRUE(heatmap_snapshot().buckets.empty());
-  EXPECT_TRUE(heatmap_json().empty());
-  EXPECT_TRUE(heatmap_valid_buckets(64));  // flag validation still works
-  EXPECT_FALSE(heatmap_valid_buckets(7));
-}
-
-#endif  // RNTREE_NO_HEATMAP
+#endif  // !RNTREE_NO_OP_OBSERVATION
 
 }  // namespace
 }  // namespace rnt::obs

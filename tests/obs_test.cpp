@@ -1,6 +1,6 @@
 // Tests for src/obs: metrics registry aggregation (live + exited threads),
 // the legacy-struct cell bridge, gauges, histogram shards, the trace ring
-// (wraparound, clear/re-enable), OpTrace recording, and the JSON/Prometheus
+// (wraparound, clear/re-enable), OpScope recording, and the JSON/Prometheus
 // export (well-formedness via a mini JSON parser).
 #include <gtest/gtest.h>
 
@@ -15,8 +15,9 @@
 #include "obs/buildinfo.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
+#include "obs/heatmap.hpp"
 #include "obs/metrics.hpp"
-#include "obs/op_trace.hpp"
+#include "obs/op_scope.hpp"
 #include "obs/phase.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -209,14 +210,14 @@ TEST_F(TraceTest, ClearDropsRingsAndNewCapacityApplies) {
 TEST_F(TraceTest, OpTraceRecordsOutcomeAndPersistDiffs) {
   set_trace_capacity(16);
   {
-    OpTrace tr(OpKind::kInsert, 42);
-    tr.leaf(4096);
-    nvm::persist(&tr, sizeof(tr));  // bump this thread's persist counter
-    tr.finish(true);
+    OpScope op(OpKind::kInsert, 42);
+    op.leaf(4096);
+    nvm::persist(&op, sizeof(op));  // bump this thread's persist counter
+    op.finish(true);
   }
   {
-    OpTrace tr(OpKind::kFind, 43);
-    tr.finish(false);
+    OpScope op(OpKind::kFind, 43);
+    op.finish(false);
   }
   std::vector<TraceEvent> evs = collect_traces();
   ASSERT_EQ(evs.size(), 2u);
@@ -233,13 +234,39 @@ TEST_F(TraceTest, OpTraceMarksCrashOnUnwind) {
   set_trace_capacity(16);
   struct Boom {};
   try {
-    OpTrace tr(OpKind::kUpsert, 9);
+    OpScope op(OpKind::kUpsert, 9);
     throw Boom{};
   } catch (const Boom&) {
   }
   std::vector<TraceEvent> evs = collect_traces();
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].result, static_cast<std::uint16_t>(OpResult::kCrash));
+}
+
+// A nested scope records its own event and hands the thread's op record
+// back to the enclosing op intact.
+TEST_F(TraceTest, NestedOpScopeRestoresTheOuterOp) {
+  set_trace_capacity(16);
+  {
+    OpScope outer(OpKind::kInsert, 1);
+    outer.leaf(640);
+    {
+      OpScope inner(OpKind::kFind, 2);
+      inner.leaf(1280);
+      inner.finish(false);
+    }
+    outer.finish(true);
+  }
+  std::vector<TraceEvent> evs = collect_traces();
+  ASSERT_EQ(evs.size(), 2u);
+  EXPECT_EQ(evs[0].key, 2u);
+  EXPECT_EQ(evs[0].leaf_off, 1280u);
+  EXPECT_EQ(evs[0].result, static_cast<std::uint16_t>(OpResult::kMiss));
+  EXPECT_EQ(evs[1].key, 1u);
+  EXPECT_EQ(evs[1].leaf_off, 640u);
+  EXPECT_EQ(evs[1].op, static_cast<std::uint16_t>(OpKind::kInsert));
+  EXPECT_EQ(evs[1].result, static_cast<std::uint16_t>(OpResult::kOk));
+  EXPECT_GE(evs[1].latency_ns, evs[0].latency_ns);
 }
 
 // --- export ---------------------------------------------------------------
@@ -358,8 +385,8 @@ TEST(Export, JsonWithTraceIsWellFormed) {
   clear_traces();
   set_trace_capacity(8);
   {
-    OpTrace tr(OpKind::kRemove, 5);
-    tr.finish(true);
+    OpScope op(OpKind::kRemove, 5);
+    op.finish(true);
   }
   const std::string doc = to_json(snapshot(), {}, /*include_trace=*/true);
   EXPECT_TRUE(MiniJson(doc).valid()) << doc;
@@ -477,7 +504,7 @@ TEST(BuildInfo, StandardMetaHasProvenanceFields) {
 
 // --- phase attribution ----------------------------------------------------
 
-#if !defined(RNTREE_NO_PHASE_TIMING)
+#if !defined(RNTREE_NO_OP_OBSERVATION)
 
 class PhaseTest : public ::testing::Test {
  protected:
@@ -527,13 +554,13 @@ TEST_F(PhaseTest, OpTraceAttributesPhasesAndCountsOps) {
   const MetricId ops = register_metric("op.completed", Kind::kCounter);
   const std::uint64_t ops0 = counter_value(ops);
   {
-    OpTrace tr(OpKind::kUpdate, 77);
+    OpScope op(OpKind::kUpdate, 77);
     {
       PhaseTimer t(Phase::kPersist);
       volatile unsigned sink = 0;
       for (int i = 0; i < 200000; ++i) sink = sink + 1;
     }
-    tr.finish(true);
+    op.finish(true);
   }
   EXPECT_EQ(counter_value(ops), ops0 + 1);
   std::vector<TraceEvent> evs = collect_traces();
@@ -544,7 +571,50 @@ TEST_F(PhaseTest, OpTraceAttributesPhasesAndCountsOps) {
   set_trace_capacity(0);
 }
 
-#endif  // !RNTREE_NO_PHASE_TIMING
+#else  // RNTREE_NO_OP_OBSERVATION
+
+// Compiled-out build: phase timing and heat attribution are inert — their
+// setters cannot arm them and every recording site drops — while ops still
+// reach the trace ring, with zero phase fields.
+TEST(OpObservationCompiledOut, EverythingIsInert) {
+  set_phase_timing(true);
+  set_heatmap_enabled(true);
+  EXPECT_FALSE(phase_timing_enabled());
+  EXPECT_FALSE(heatmap_enabled());
+
+  const PhaseTicks before = phase_ticks_snapshot();
+  {
+    PhaseTimer t(Phase::kPersist);
+    volatile unsigned sink = 0;
+    for (int i = 0; i < 1000; ++i) sink = sink + 1;
+  }
+  EXPECT_EQ(phase_ticks_snapshot().t[static_cast<int>(Phase::kPersist)],
+            before.t[static_cast<int>(Phase::kPersist)]);
+
+  heatmap_record_at(1, HeatCause::kConflict);
+  heatmap_record(HeatCause::kConflict);
+  EXPECT_TRUE(heatmap_snapshot().buckets.empty());
+  EXPECT_TRUE(heatmap_json().empty());
+  EXPECT_TRUE(heatmap_valid_buckets(64));  // flag validation still works
+  EXPECT_FALSE(heatmap_valid_buckets(7));
+
+  clear_traces();
+  set_trace_capacity(8);
+  {
+    OpScope op(OpKind::kUpdate, 77);
+    op.finish(true);
+  }
+  const std::vector<TraceEvent> evs = collect_traces();
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].key, 77u);
+  EXPECT_EQ(evs[0].phase_persist_ns, 0u);
+  clear_traces();
+  set_trace_capacity(0);
+  set_phase_timing(false);
+  set_heatmap_enabled(false);
+}
+
+#endif  // RNTREE_NO_OP_OBSERVATION
 
 // --- time-series sampler --------------------------------------------------
 
@@ -710,8 +780,8 @@ TEST(ChromeTrace, WriteCollectsRingsAndRoundTrips) {
   clear_traces();
   set_trace_capacity(8);
   {
-    OpTrace tr(OpKind::kScan, 3);
-    tr.finish(true);
+    OpScope op(OpKind::kScan, 3);
+    op.finish(true);
   }
   const std::string path = ::testing::TempDir() + "/obs_chrome_trace.json";
   ASSERT_TRUE(write_chrome_trace(path));

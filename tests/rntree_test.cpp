@@ -83,8 +83,10 @@ TEST_P(RNTreeTest, RemoveSemantics) {
 
 TEST_P(RNTreeTest, InsertManySplitsLeaves) {
   constexpr std::uint64_t kN = 10000;
+  const obs::Counter splits("tree.leaf_splits");
+  const std::uint64_t splits0 = splits.value();
   for (std::uint64_t i = 0; i < kN; ++i) ASSERT_TRUE(tree_->insert(i, i * 2));
-  EXPECT_GT(tree_->stats().splits.load(), 100u);
+  EXPECT_GT(splits.value() - splits0, 100u);
   EXPECT_GT(tree_->leaf_count(), 100u);
   EXPECT_GT(tree_->height(), 1);
   for (std::uint64_t i = 0; i < kN; ++i)
@@ -105,10 +107,12 @@ TEST_P(RNTreeTest, UpdateHeavyWorkloadTriggersCompaction) {
   // Repeated updates of the same small key set consume log entries without
   // growing the live set: the shrink-split (in-place compaction) must kick
   // in and keep all data intact.
+  const obs::Counter shrinks("tree.shrink_splits");
+  const std::uint64_t shrinks0 = shrinks.value();
   for (std::uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(tree_->insert(i, 0));
   for (std::uint64_t round = 1; round <= 300; ++round)
     for (std::uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(tree_->update(i, round));
-  EXPECT_GT(tree_->stats().shrink_splits.load(), 0u);
+  EXPECT_GT(shrinks.value() - shrinks0, 0u);
   for (std::uint64_t i = 0; i < 20; ++i)
     ASSERT_EQ(tree_->find(i), std::optional<std::uint64_t>(300));
   tree_->check_invariants();
@@ -258,8 +262,10 @@ TEST_P(RNTreeTest, RecoveryWithoutCleanShutdownScansSlots) {
 }
 
 TEST_P(RNTreeTest, StatsCountSplits) {
+  const obs::Counter splits("tree.leaf_splits");
+  const std::uint64_t splits0 = splits.value();
   for (std::uint64_t i = 0; i < 200; ++i) ASSERT_TRUE(tree_->insert(i, i));
-  EXPECT_GT(tree_->stats().splits.load(), 0u);
+  EXPECT_GT(splits.value() - splits0, 0u);
 }
 
 TEST_P(RNTreeTest, MinAndMaxKeys) {

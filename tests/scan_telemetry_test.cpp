@@ -88,7 +88,7 @@ TEST_F(ScanTelemetryTest, EmptyScanStillCountsAsMiss) {
   EXPECT_EQ(after.counter("op.scan") - before.counter("op.scan"), 1u);
 }
 
-#if !defined(RNTREE_NO_HEATMAP)
+#if !defined(RNTREE_NO_OP_OBSERVATION)
 
 // A full-range scan must heat the buckets of every leaf it visits — one kOp
 // record per visited leaf beyond the first — so heatmaps show the range a
@@ -122,9 +122,9 @@ TEST_F(ScanTelemetryTest, ScanHeatsTheVisitedRange) {
   obs::heatmap_reset();
 }
 
-#endif  // !RNTREE_NO_HEATMAP
+#endif  // !RNTREE_NO_OP_OBSERVATION
 
-// --- baseline OpTrace coverage ---------------------------------------------
+// --- baseline OpScope coverage ---------------------------------------------
 
 template <typename TreeT>
 class BaselineOpTelemetryTest : public ScanTelemetryTest {};
