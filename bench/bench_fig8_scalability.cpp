@@ -96,8 +96,8 @@ void run_group_persistency_segment(const BenchOptions& opt,
   for (std::uint64_t i = 0; i < n; ++i) (void)tree.upsert(nth_key(i), i);
 
   const auto total_fences = [] {
-    const nvm::PersistStats& s = nvm::tls_stats();
-    return s.fence + s.batch_fence;
+    const nvm::PersistCounters& c = nvm::persist_counters();
+    return c.fence.local() + c.batch_fence.local();
   };
 
   // Eager pass: one update per key, per-op fences (the paper's 2/modify).

@@ -190,11 +190,12 @@ namespace {
 
 template <typename Fn>
 std::uint64_t persist_mode_of(Fn&& op) {
+  const obs::Counter& persists = nvm::persist_counters().persist;
   std::map<std::uint64_t, int> freq;
   for (int i = 0; i < 64; ++i) {
-    const std::uint64_t before = nvm::tls_stats().persist;
+    const std::uint64_t before = persists.local();
     op(i);
-    freq[nvm::tls_stats().persist - before]++;
+    freq[persists.local() - before]++;
   }
   std::uint64_t best = 0;
   int best_n = -1;
@@ -263,8 +264,8 @@ int run_gate(const std::string& path, std::uint64_t warm, double secs) {
   // 1 trailing barrier = 9).  Exact integers; regression here means the
   // fence-amortization machinery broke.
   const auto fences = [] {
-    const nvm::PersistStats& s = nvm::tls_stats();
-    return s.fence + s.batch_fence;
+    const nvm::PersistCounters& c = nvm::persist_counters();
+    return c.fence.local() + c.batch_fence.local();
   };
   const auto fence_mode_of = [&](int rounds, auto&& op) {
     std::map<std::uint64_t, int> freq;

@@ -29,9 +29,10 @@ struct Table1Runner {
 
     std::uint64_t fresh = opt.warm;
     auto persists_per_op = [&](auto&& fn) {
-      const nvm::PersistStats before = nvm::tls_stats();
+      const obs::Counter& persists = nvm::persist_counters().persist;
+      const std::uint64_t before = persists.local();
       for (std::uint64_t i = 0; i < kOps; ++i) fn();
-      return static_cast<double>((nvm::tls_stats() - before).persist) / kOps;
+      return static_cast<double>(persists.local() - before) / kOps;
     };
 
     const double ins = persists_per_op([&] { (void)tree->insert(nth_key(fresh++), 1); });

@@ -53,11 +53,11 @@ int main(int argc, char** argv) {
 
     // Per-op persistence cost: the paper's headline (2 persistent
     // instructions per modify).
-    const rnt::nvm::PersistStats before = rnt::nvm::tls_stats();
+    const rnt::obs::Counter& persists = rnt::nvm::persist_counters().persist;
+    const std::uint64_t before = persists.local();
     tree.upsert(5000, 1);
-    const auto d = rnt::nvm::tls_stats() - before;
     std::printf("one upsert issued %" PRIu64 " persistent instructions\n",
-                d.persist);
+                persists.local() - before);
 
     tree.close();  // flush counters, mark the pool clean
   }

@@ -10,104 +10,7 @@
 #endif
 #endif
 
-#include "obs/metrics.hpp"
-
 namespace rnt::htm {
-
-namespace {
-
-struct HtmMetricIds {
-  obs::MetricId attempts = obs::register_metric("htm.attempts", obs::Kind::kCounter);
-  obs::MetricId commits = obs::register_metric("htm.commits", obs::Kind::kCounter);
-  obs::MetricId aborts_conflict =
-      obs::register_metric("htm.aborts_conflict", obs::Kind::kCounter);
-  obs::MetricId aborts_capacity =
-      obs::register_metric("htm.aborts_capacity", obs::Kind::kCounter);
-  obs::MetricId aborts_other =
-      obs::register_metric("htm.aborts_other", obs::Kind::kCounter);
-  obs::MetricId fallbacks = obs::register_metric("htm.fallbacks", obs::Kind::kCounter);
-  obs::MetricId lock_acquisitions =
-      obs::register_metric("htm.lock_acquisitions", obs::Kind::kCounter);
-  obs::MetricId lock_wait_timeouts =
-      obs::register_metric("htm.lock_wait_timeouts", obs::Kind::kCounter);
-  obs::MetricId injected_conflict =
-      obs::register_metric("htm.inject.conflict", obs::Kind::kCounter);
-  obs::MetricId injected_capacity =
-      obs::register_metric("htm.inject.capacity", obs::Kind::kCounter);
-  obs::MetricId injected_spurious =
-      obs::register_metric("htm.inject.spurious", obs::Kind::kCounter);
-  obs::MetricId injected_lock_subscription =
-      obs::register_metric("htm.inject.lock_subscription", obs::Kind::kCounter);
-};
-
-const HtmMetricIds& metric_ids() {
-  static HtmMetricIds ids;
-  return ids;
-}
-
-// Attaches this thread's stat fields to the obs registry so aggregation and
-// exited-thread folding are centralised; the hot path keeps plain stores.
-struct TlsEntry {
-  HtmStats stats;
-  TlsEntry() {
-    const HtmMetricIds& ids = metric_ids();
-    obs::attach_cell(ids.attempts, &stats.attempts);
-    obs::attach_cell(ids.commits, &stats.commits);
-    obs::attach_cell(ids.aborts_conflict, &stats.aborts_conflict);
-    obs::attach_cell(ids.aborts_capacity, &stats.aborts_capacity);
-    obs::attach_cell(ids.aborts_other, &stats.aborts_other);
-    obs::attach_cell(ids.fallbacks, &stats.fallbacks);
-    obs::attach_cell(ids.lock_acquisitions, &stats.lock_acquisitions);
-    obs::attach_cell(ids.lock_wait_timeouts, &stats.lock_wait_timeouts);
-    obs::attach_cell(ids.injected_conflict, &stats.injected_conflict);
-    obs::attach_cell(ids.injected_capacity, &stats.injected_capacity);
-    obs::attach_cell(ids.injected_spurious, &stats.injected_spurious);
-    obs::attach_cell(ids.injected_lock_subscription,
-                     &stats.injected_lock_subscription);
-  }
-  ~TlsEntry() {
-    const HtmMetricIds& ids = metric_ids();
-    obs::detach_cell(ids.attempts, &stats.attempts);
-    obs::detach_cell(ids.commits, &stats.commits);
-    obs::detach_cell(ids.aborts_conflict, &stats.aborts_conflict);
-    obs::detach_cell(ids.aborts_capacity, &stats.aborts_capacity);
-    obs::detach_cell(ids.aborts_other, &stats.aborts_other);
-    obs::detach_cell(ids.fallbacks, &stats.fallbacks);
-    obs::detach_cell(ids.lock_acquisitions, &stats.lock_acquisitions);
-    obs::detach_cell(ids.lock_wait_timeouts, &stats.lock_wait_timeouts);
-    obs::detach_cell(ids.injected_conflict, &stats.injected_conflict);
-    obs::detach_cell(ids.injected_capacity, &stats.injected_capacity);
-    obs::detach_cell(ids.injected_spurious, &stats.injected_spurious);
-    obs::detach_cell(ids.injected_lock_subscription,
-                     &stats.injected_lock_subscription);
-  }
-};
-
-}  // namespace
-
-HtmStats& tls_htm_stats() noexcept {
-  thread_local TlsEntry e;
-  return e.stats;
-}
-
-HtmStats aggregate_htm_stats() {
-  const HtmMetricIds& ids = metric_ids();
-  HtmStats out;
-  out.attempts = obs::counter_value(ids.attempts);
-  out.commits = obs::counter_value(ids.commits);
-  out.aborts_conflict = obs::counter_value(ids.aborts_conflict);
-  out.aborts_capacity = obs::counter_value(ids.aborts_capacity);
-  out.aborts_other = obs::counter_value(ids.aborts_other);
-  out.fallbacks = obs::counter_value(ids.fallbacks);
-  out.lock_acquisitions = obs::counter_value(ids.lock_acquisitions);
-  out.lock_wait_timeouts = obs::counter_value(ids.lock_wait_timeouts);
-  out.injected_conflict = obs::counter_value(ids.injected_conflict);
-  out.injected_capacity = obs::counter_value(ids.injected_capacity);
-  out.injected_spurious = obs::counter_value(ids.injected_spurious);
-  out.injected_lock_subscription =
-      obs::counter_value(ids.injected_lock_subscription);
-  return out;
-}
 
 RetryPolicy& default_retry_policy() noexcept {
   static RetryPolicy policy;

@@ -40,36 +40,36 @@
 #include "htm/spinlock.hpp"
 #include "nvm/persist.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 
 namespace rnt::htm {
 
-/// Per-thread transaction statistics.  Registry-backed: each thread's
-/// fields are attached to the obs metrics registry (htm.* counters), which
-/// owns aggregation and exited-thread folding; increments stay plain
-/// thread-local stores.
-struct HtmStats {
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts_conflict = 0;
-  std::uint64_t aborts_capacity = 0;
-  std::uint64_t aborts_other = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t lock_acquisitions = 0;  ///< fallback-lock critical sections
-  std::uint64_t lock_wait_timeouts = 0;  ///< bounded lock-waits that hit the cap
+/// Transaction counters (htm.*), one registry family shared by every
+/// atomic_exec caller; per-thread counts via Counter::local().
+struct HtmCounters {
+  obs::Counter attempts{"htm.attempts"};
+  obs::Counter commits{"htm.commits"};
+  obs::Counter aborts_conflict{"htm.aborts_conflict"};
+  obs::Counter aborts_capacity{"htm.aborts_capacity"};
+  obs::Counter aborts_other{"htm.aborts_other"};
+  obs::Counter fallbacks{"htm.fallbacks"};
+  /// Fallback-lock critical sections.
+  obs::Counter lock_acquisitions{"htm.lock_acquisitions"};
+  /// Bounded lock-waits that hit the starvation cap.
+  obs::Counter lock_wait_timeouts{"htm.lock_wait_timeouts"};
   // Injected-abort attribution (htm.inject.*): how many of the abort counts
   // above were manufactured by the installed AbortInjector.
-  std::uint64_t injected_conflict = 0;
-  std::uint64_t injected_capacity = 0;
-  std::uint64_t injected_spurious = 0;
-  std::uint64_t injected_lock_subscription = 0;
-  void reset() noexcept { *this = {}; }
+  obs::Counter injected_conflict{"htm.inject.conflict"};
+  obs::Counter injected_capacity{"htm.inject.capacity"};
+  obs::Counter injected_spurious{"htm.inject.spurious"};
+  obs::Counter injected_lock_subscription{"htm.inject.lock_subscription"};
 };
 
-HtmStats& tls_htm_stats() noexcept;
-
-/// Sum over all threads that ever recorded, including exited ones.
-HtmStats aggregate_htm_stats();
+inline const HtmCounters& htm_counters() {
+  static const HtmCounters c;
+  return c;
+}
 
 /// True when this CPU executes RTM transactions (CPUID leaf 7 EBX bit 11).
 bool rtm_supported() noexcept;
@@ -115,8 +115,8 @@ class TxGuard {
 /// Wait for @p fallback to be released, bounded by the policy's starvation
 /// cap.  Returns true when the lock was observed free, false on timeout
 /// (counted in htm.lock_wait_timeouts).
-inline bool bounded_lock_wait(SpinLock& fallback, const RetryPolicy& policy,
-                              HtmStats& st) noexcept {
+inline bool bounded_lock_wait(SpinLock& fallback,
+                              const RetryPolicy& policy) noexcept {
   Backoff bo;
   for (std::uint32_t waited = 0; fallback.is_locked(); ++waited) {
     // kLockWait marks the episode (the lock was held at all); the timeout
@@ -124,7 +124,7 @@ inline bool bounded_lock_wait(SpinLock& fallback, const RetryPolicy& policy,
     // Together they make storm serialization visible per key range.
     if (waited == 0) obs::heatmap_record(obs::HeatCause::kLockWait);
     if (waited >= policy.lock_wait_pauses) {
-      ++st.lock_wait_timeouts;
+      htm_counters().lock_wait_timeouts.inc();
       obs::heatmap_record(obs::HeatCause::kLockWaitTimeout);
       return false;
     }
@@ -153,11 +153,12 @@ void run_bracketed(SpinLock* fallback, Fn&& fn) {
 /// false when the policy demands the caller's fallback path.
 template <typename Fn>
 bool run_injected(AbortInjector& inj, SpinLock* fallback, Fn& fn,
-                  const RetryPolicy& policy, HtmStats& st) {
+                  const RetryPolicy& policy) {
+  const HtmCounters& ctr = htm_counters();
   Backoff conflict_bo;
   int spurious = 0;
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    ++st.attempts;
+    ctr.attempts.inc();
     const std::optional<AbortCause> cause = inj.on_attempt(attempt);
     if (!cause.has_value()) {
       // Simulated commit: mutual exclusion comes from the fallback lock, or
@@ -166,32 +167,32 @@ bool run_injected(AbortInjector& inj, SpinLock* fallback, Fn& fn,
       // transaction bracket.
       if (fallback != nullptr) fallback->lock();
       run_bracketed(fallback, fn);
-      ++st.commits;
+      ctr.commits.inc();
       return true;
     }
     switch (*cause) {
       case AbortCause::kCapacity:
-        ++st.aborts_capacity;
-        ++st.injected_capacity;
+        ctr.aborts_capacity.inc();
+        ctr.injected_capacity.inc();
         obs::heatmap_record(obs::HeatCause::kCapacity);
         return false;  // the write set will never fit; fall back now
       case AbortCause::kConflict:
-        ++st.aborts_conflict;
-        ++st.injected_conflict;
+        ctr.aborts_conflict.inc();
+        ctr.injected_conflict.inc();
         obs::heatmap_record(obs::HeatCause::kConflict);
         conflict_bo.pause();  // bounded exponential backoff
         break;
       case AbortCause::kSpurious:
-        ++st.aborts_other;
-        ++st.injected_spurious;
+        ctr.aborts_other.inc();
+        ctr.injected_spurious.inc();
         obs::heatmap_record(obs::HeatCause::kOther);
         if (++spurious > policy.max_spurious_retries) return false;
         break;
       case AbortCause::kLockSubscription:
-        ++st.aborts_other;
-        ++st.injected_lock_subscription;
+        ctr.aborts_other.inc();
+        ctr.injected_lock_subscription.inc();
         obs::heatmap_record(obs::HeatCause::kOther);
-        if (fallback != nullptr) bounded_lock_wait(*fallback, policy, st);
+        if (fallback != nullptr) bounded_lock_wait(*fallback, policy);
         break;
     }
   }
@@ -214,12 +215,12 @@ void xabort_conflict() noexcept;
 /// policy demands the fallback path.  A null @p fallback is never
 /// subscribed to: no other writer of fn's footprint can run a fallback.
 template <typename Fn>
-bool run_rtm(SpinLock* fallback, Fn& fn, const RetryPolicy& policy,
-             HtmStats& st) {
+bool run_rtm(SpinLock* fallback, Fn& fn, const RetryPolicy& policy) {
+  const HtmCounters& ctr = htm_counters();
   Backoff conflict_bo;
   int spurious = 0;
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    ++st.attempts;
+    ctr.attempts.inc();
     const unsigned status = xbegin();
     if (status == kXBeginStarted) {
       // Subscribe to the fallback lock: abort if a pessimistic writer is
@@ -228,11 +229,11 @@ bool run_rtm(SpinLock* fallback, Fn& fn, const RetryPolicy& policy,
       if (fallback != nullptr && fallback->is_locked()) xabort_conflict();
       fn();
       xend();
-      ++st.commits;
+      ctr.commits.inc();
       return true;
     }
     if ((status & kAbortCapacity) != 0) {
-      ++st.aborts_capacity;
+      ctr.aborts_capacity.inc();
       obs::heatmap_record(obs::HeatCause::kCapacity);
       return false;  // will not fit; go straight to the lock
     }
@@ -241,23 +242,23 @@ bool run_rtm(SpinLock* fallback, Fn& fn, const RetryPolicy& policy,
       // Our own subscription abort (issued only with a non-null fallback):
       // wait (bounded) for the lock holder, then retry; does not consume
       // the spurious budget.
-      ++st.aborts_other;
+      ctr.aborts_other.inc();
       obs::heatmap_record(obs::HeatCause::kOther);
-      bounded_lock_wait(*fallback, policy, st);
+      bounded_lock_wait(*fallback, policy);
       continue;
     }
     if ((status & kAbortConflict) != 0) {
-      ++st.aborts_conflict;
+      ctr.aborts_conflict.inc();
       obs::heatmap_record(obs::HeatCause::kConflict);
       conflict_bo.pause();  // bounded exponential backoff
     } else {
-      ++st.aborts_other;
+      ctr.aborts_other.inc();
       obs::heatmap_record(obs::HeatCause::kOther);
       if ((status & kAbortRetry) == 0 && ++spurious > policy.max_spurious_retries)
         return false;
     }
     if (fallback != nullptr && fallback->is_locked())
-      bounded_lock_wait(*fallback, policy, st);
+      bounded_lock_wait(*fallback, policy);
   }
   return false;
 }
@@ -272,28 +273,28 @@ bool run_rtm(SpinLock* fallback, Fn& fn, const RetryPolicy& policy,
 template <typename Fn>
 void atomic_exec(SpinLock* fallback, Fn&& fn,
                  const RetryPolicy& policy = default_retry_policy()) {
-  HtmStats& st = tls_htm_stats();
+  const HtmCounters& ctr = htm_counters();
   if (AbortInjector* inj = abort_injector()) {
     obs::PhaseTimer pt(obs::Phase::kHtm);
-    if (detail::run_injected(*inj, fallback, fn, policy, st)) return;
-    ++st.fallbacks;
+    if (detail::run_injected(*inj, fallback, fn, policy)) return;
+    ctr.fallbacks.inc();
     obs::heatmap_record(obs::HeatCause::kFallback);
   }
 #if defined(RNTREE_HAVE_RTM)
   else if (rtm_supported() && nvm::shadow_active() == nullptr) {
     obs::PhaseTimer pt(obs::Phase::kHtm);
-    if (detail::run_rtm(fallback, fn, policy, st)) return;
-    ++st.fallbacks;
+    if (detail::run_rtm(fallback, fn, policy)) return;
+    ctr.fallbacks.inc();
     obs::heatmap_record(obs::HeatCause::kFallback);
   }
 #endif
   if (fallback != nullptr) {
     obs::PhaseTimer wait(obs::Phase::kLockWait);
     fallback->lock();
-    ++st.lock_acquisitions;
+    ctr.lock_acquisitions.inc();
   }
   detail::run_bracketed(fallback, std::forward<Fn>(fn));
-  ++st.commits;
+  ctr.commits.inc();
 }
 
 }  // namespace rnt::htm

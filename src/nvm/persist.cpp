@@ -2,7 +2,6 @@
 
 #include "common/timing.hpp"
 #include "nvm/shadow.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 
 namespace rnt::nvm {
@@ -10,82 +9,6 @@ namespace rnt::nvm {
 NvmConfig& config() noexcept {
   static NvmConfig cfg;
   return cfg;
-}
-
-namespace {
-
-// The persist counters are registry-backed: the hot path still increments a
-// plain thread-local struct (zero added cost over the old per-module
-// registry), but each field is attached to the obs metrics registry as an
-// external shard, so aggregation, exited-thread folding, reset, and export
-// all live in one place (src/obs).
-struct PersistMetricIds {
-  obs::MetricId clwb = obs::register_metric("nvm.clwb", obs::Kind::kCounter);
-  obs::MetricId fence = obs::register_metric("nvm.fence", obs::Kind::kCounter);
-  obs::MetricId persist = obs::register_metric("nvm.persist", obs::Kind::kCounter);
-  obs::MetricId lines = obs::register_metric("nvm.lines", obs::Kind::kCounter);
-  obs::MetricId batch_persist =
-      obs::register_metric("nvm.batch_persist", obs::Kind::kCounter);
-  obs::MetricId batch_fence =
-      obs::register_metric("nvm.batch_fence", obs::Kind::kCounter);
-};
-
-const PersistMetricIds& metric_ids() {
-  static PersistMetricIds ids;
-  return ids;
-}
-
-struct TlsEntry {
-  PersistStats stats;
-  TlsEntry() {
-    const PersistMetricIds& ids = metric_ids();
-    obs::attach_cell(ids.clwb, &stats.clwb);
-    obs::attach_cell(ids.fence, &stats.fence);
-    obs::attach_cell(ids.persist, &stats.persist);
-    obs::attach_cell(ids.lines, &stats.lines);
-    obs::attach_cell(ids.batch_persist, &stats.batch_persist);
-    obs::attach_cell(ids.batch_fence, &stats.batch_fence);
-  }
-  ~TlsEntry() {
-    const PersistMetricIds& ids = metric_ids();
-    obs::detach_cell(ids.clwb, &stats.clwb);
-    obs::detach_cell(ids.fence, &stats.fence);
-    obs::detach_cell(ids.persist, &stats.persist);
-    obs::detach_cell(ids.lines, &stats.lines);
-    obs::detach_cell(ids.batch_persist, &stats.batch_persist);
-    obs::detach_cell(ids.batch_fence, &stats.batch_fence);
-  }
-};
-
-TlsEntry& tls_entry() noexcept {
-  thread_local TlsEntry e;
-  return e;
-}
-
-}  // namespace
-
-PersistStats& tls_stats() noexcept { return tls_entry().stats; }
-
-PersistStats aggregate_stats() {
-  const PersistMetricIds& ids = metric_ids();
-  PersistStats out;
-  out.clwb = obs::counter_value(ids.clwb);
-  out.fence = obs::counter_value(ids.fence);
-  out.persist = obs::counter_value(ids.persist);
-  out.lines = obs::counter_value(ids.lines);
-  out.batch_persist = obs::counter_value(ids.batch_persist);
-  out.batch_fence = obs::counter_value(ids.batch_fence);
-  return out;
-}
-
-void reset_aggregate_stats() {
-  const PersistMetricIds& ids = metric_ids();
-  obs::reset_counter(ids.clwb);
-  obs::reset_counter(ids.fence);
-  obs::reset_counter(ids.persist);
-  obs::reset_counter(ids.lines);
-  obs::reset_counter(ids.batch_persist);
-  obs::reset_counter(ids.batch_fence);
 }
 
 namespace detail {
@@ -112,17 +35,17 @@ void shadow_tx_commit() {
 }  // namespace detail
 
 void clwb(const void* p) noexcept(false) {
-  tls_stats().clwb++;
+  persist_counters().clwb.inc();
   detail::tls_pending_lines++;
   if (shadow_active() != nullptr) detail::shadow_on_clwb(p);
 }
 
 void sfence() noexcept(false) {
-  auto& st = tls_stats();
-  st.fence++;
+  const PersistCounters& ctr = persist_counters();
+  ctr.fence.inc();
   const std::uint32_t pending = detail::tls_pending_lines;
   if (pending > 0) {
-    st.lines += pending;
+    ctr.lines.inc(pending);
     detail::tls_pending_lines = 0;
     const NvmConfig& cfg = config();
     const std::uint64_t wait =
@@ -143,7 +66,7 @@ void persist(const void* p, std::size_t n) noexcept(false) {
   // injected NVM latency charged in sfence); bare clwb/sfence calls are not
   // timed individually to avoid double-counting nested compounds.
   obs::PhaseTimer pt(obs::Phase::kPersist);
-  tls_stats().persist++;
+  persist_counters().persist.inc();
   const char* c = static_cast<const char*>(p);
   const std::size_t nlines = lines_spanned(p, n);
   for (std::size_t i = 0; i < nlines; ++i) clwb(c + i * kCacheLineSize);
@@ -162,7 +85,7 @@ void persist_batchable(const void* p, std::size_t n) noexcept(false) {
     return;
   }
   obs::PhaseTimer pt(obs::Phase::kPersist);
-  tls_stats().batch_persist++;
+  persist_counters().batch_persist.inc();
   const char* c = static_cast<const char*>(p);
   const std::size_t nlines = lines_spanned(p, n);
   for (std::size_t i = 0; i < nlines; ++i) clwb(c + i * kCacheLineSize);
@@ -175,9 +98,9 @@ void batch_barrier() noexcept(false) {
   const std::uint32_t pending = detail::tls_pending_lines;
   if (pending == 0) return;
   obs::PhaseTimer pt(obs::Phase::kPersist);
-  auto& st = tls_stats();
-  st.batch_fence++;  // booked separately from single-op fences
-  st.lines += pending;
+  const PersistCounters& ctr = persist_counters();
+  ctr.batch_fence.inc();  // booked separately from single-op fences
+  ctr.lines.inc(pending);
   detail::tls_pending_lines = 0;
   const NvmConfig& cfg = config();
   const std::uint64_t wait =

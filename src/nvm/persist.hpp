@@ -25,6 +25,7 @@
 #include <type_traits>
 
 #include "common/cacheline.hpp"
+#include "obs/metrics.hpp"
 
 namespace rnt::nvm {
 
@@ -44,36 +45,28 @@ struct NvmConfig {
 /// synchronized (configure from one thread before spawning workers).
 NvmConfig& config() noexcept;
 
-/// Per-thread persistent-instruction counters.  Group persistency is counted
-/// in separate fields (batch_persist/batch_fence) so that `persist` remains
-/// exactly the paper's Table-1 "persistent instruction" count: a deferred
-/// flush inside a BatchScope never inflates or deflates the single-op totals.
-struct PersistStats {
-  std::uint64_t clwb = 0;      ///< individual line writebacks issued
-  std::uint64_t fence = 0;     ///< fences issued
-  std::uint64_t persist = 0;   ///< persist() compounds ("persistent instructions")
-  std::uint64_t lines = 0;     ///< total lines drained by fences
-  std::uint64_t batch_persist = 0;  ///< deferred (fence-less) flush compounds
-  std::uint64_t batch_fence = 0;    ///< trailing batch barriers issued
-
-  PersistStats operator-(const PersistStats& o) const noexcept {
-    return {clwb - o.clwb,       fence - o.fence,
-            persist - o.persist, lines - o.lines,
-            batch_persist - o.batch_persist,
-            batch_fence - o.batch_fence};
-  }
-  void reset() noexcept { *this = {}; }
+/// Persistent-instruction counters (nvm.*), per-thread via Counter::local():
+/// snapshot/diff around a workload to obtain per-operation persist counts,
+/// as bench_table1 does.  Group persistency is counted separately
+/// (batch_persist/batch_fence) so that `persist` remains exactly the paper's
+/// Table-1 "persistent instruction" count: a deferred flush inside a
+/// BatchScope never inflates or deflates the single-op totals.
+struct PersistCounters {
+  obs::Counter clwb{"nvm.clwb"};    ///< individual line writebacks issued
+  obs::Counter fence{"nvm.fence"};  ///< fences issued
+  /// persist() compounds ("persistent instructions").
+  obs::Counter persist{"nvm.persist"};
+  obs::Counter lines{"nvm.lines"};  ///< total lines drained by fences
+  /// Deferred (fence-less) flush compounds.
+  obs::Counter batch_persist{"nvm.batch_persist"};
+  /// Trailing batch barriers issued.
+  obs::Counter batch_fence{"nvm.batch_fence"};
 };
 
-/// This thread's counters (cheap to read; snapshot/diff around a workload to
-/// obtain per-operation persist counts, as bench_table1 does).
-PersistStats& tls_stats() noexcept;
-
-/// Sum of counters over all threads that ever recorded, including exited ones.
-PersistStats aggregate_stats();
-
-/// Reset aggregate bookkeeping AND the calling thread's counters.
-void reset_aggregate_stats();
+inline const PersistCounters& persist_counters() {
+  static const PersistCounters c;
+  return c;
+}
 
 namespace detail {
 extern std::atomic<ShadowPool*> g_shadow;
@@ -135,7 +128,7 @@ void clwb(const void* p) noexcept(false);
 void sfence() noexcept(false);
 
 /// Flush + fence over an arbitrary byte range; the paper's "persistent
-/// instruction" compound (counted once in PersistStats::persist).
+/// instruction" compound (counted once in nvm.persist).
 void persist(const void* p, std::size_t n) noexcept(false);
 
 // ---- Group persistency (batch barriers) ------------------------------------
@@ -144,8 +137,8 @@ void persist(const void* p, std::size_t n) noexcept(false);
 // still issues its own clwb's (so every dirty line is write-pending and the
 // crash simulator sees the same store/flush stream), but the drain is deferred
 // to the scope's end.  Deferred compounds are counted in
-// PersistStats::batch_persist, and the trailing barrier in
-// PersistStats::batch_fence -- never in `persist`/`fence` -- so Table-1
+// nvm.batch_persist, and the trailing barrier in nvm.batch_fence -- never
+// in nvm.persist/nvm.fence -- so Table-1
 // single-op persist counts remain comparable with the unbatched build.
 
 /// Flush [p, p+n) like persist(), but inside an active BatchScope the fence is

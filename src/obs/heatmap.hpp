@@ -148,8 +148,9 @@ inline void heatmap_record_at(std::uint64_t key, HeatCause c) noexcept {
 }
 
 /// Scale every cell by @p factor in [0, 1) — the decay step.  Concurrent
-/// owner-thread increments are not lost-update-safe (same caveat as
-/// obs::reset_counter); the error is at most a few in-flight events.
+/// owner-thread increments are not lost-update-safe (the owner's plain
+/// load+add+store can overwrite a rescale); the error is at most a few
+/// in-flight events.
 void heatmap_decay(double factor);
 
 /// Sampler hook: apply half-life decay for the elapsed interval (when

@@ -23,7 +23,6 @@ struct Metric {
   std::string name;
   Kind kind;
   std::uint64_t retired = 0;                    // folded from exited threads
-  std::vector<std::uint64_t*> ext_cells;        // legacy-struct shards
   std::atomic<std::int64_t> gauge{0};
   LatencyHistogram retired_hist;                // folded histogram shards
 };
@@ -51,20 +50,10 @@ struct Registry {
 
   // Sum of one counter's shards; caller holds mu.
   std::uint64_t sum_locked(MetricId id) const {
-    const Metric& m = metrics[id];
-    std::uint64_t v = m.retired;
+    std::uint64_t v = metrics[id].retired;
     for (const Slab* s : slabs)
       if (id < s->cells.size()) v += detail::cell_load(s->cells[id]);
-    for (const std::uint64_t* c : m.ext_cells) v += detail::cell_load(*c);
     return v;
-  }
-
-  void reset_locked(MetricId id) {
-    Metric& m = metrics[id];
-    m.retired = 0;
-    for (Slab* s : slabs)
-      if (id < s->cells.size()) detail::cell_store(s->cells[id], 0);
-    for (std::uint64_t* c : m.ext_cells) detail::cell_store(*c, 0);
   }
 };
 
@@ -93,7 +82,7 @@ Slab::~Slab() {
 
 namespace detail {
 
-thread_local TlsCells t_cells{nullptr, 0};
+constinit thread_local TlsCells t_cells{nullptr, 0};
 
 std::uint64_t* slow_cell(MetricId id) {
   Registry& r = reg();
@@ -151,30 +140,10 @@ LatencyHistogram Histogram::aggregate() const {
   return out;
 }
 
-void attach_cell(MetricId id, std::uint64_t* cell) {
-  Registry& r = reg();
-  std::lock_guard lk(r.mu);
-  r.metrics[id].ext_cells.push_back(cell);
-}
-
-void detach_cell(MetricId id, std::uint64_t* cell) {
-  Registry& r = reg();
-  std::lock_guard lk(r.mu);
-  Metric& m = r.metrics[id];
-  m.retired += detail::cell_load(*cell);
-  std::erase(m.ext_cells, cell);
-}
-
 std::uint64_t counter_value(MetricId id) {
   Registry& r = reg();
   std::lock_guard lk(r.mu);
   return r.sum_locked(id);
-}
-
-void reset_counter(MetricId id) {
-  Registry& r = reg();
-  std::lock_guard lk(r.mu);
-  r.reset_locked(id);
 }
 
 std::uint64_t Snapshot::counter(std::string_view name) const noexcept {
@@ -221,19 +190,6 @@ Snapshot snapshot() {
   std::sort(out.gauges.begin(), out.gauges.end(), by_name);
   std::sort(out.histograms.begin(), out.histograms.end(), by_name);
   return out;
-}
-
-void reset_all() {
-  Registry& r = reg();
-  std::lock_guard lk(r.mu);
-  for (MetricId i = 0; i < r.metrics.size(); ++i) {
-    if (r.metrics[i].kind == Kind::kGauge) continue;
-    r.reset_locked(i);
-    r.metrics[i].retired_hist.reset();
-  }
-  for (Slab* s : r.slabs)
-    for (auto& h : s->hists)
-      if (h) h->reset();
 }
 
 }  // namespace rnt::obs

@@ -1,6 +1,6 @@
 // Process-wide metrics registry — the unified home for every counter the
-// library used to scatter across modules (nvm::PersistStats, htm::HtmStats,
-// epoch reclamation, pool allocation, per-tree structural counters).
+// library keeps (persistent instructions, HTM attempts and aborts, epoch
+// reclamation, pool allocation, per-tree structural counters).
 //
 // Three metric kinds:
 //
@@ -17,12 +17,6 @@
 // name; registering the same name twice returns the same metric.  Intended
 // use is one namespace-scope (or function-local static) handle per call
 // site, so registration cost is paid once.
-//
-// Legacy bridge: modules that keep their own thread-local stat structs (the
-// PersistStats/HtmStats diff-snapshot API is load-bearing for the benches)
-// attach each struct field as an *external cell* of a registered counter.
-// The registry then owns aggregation and exited-thread folding for them too,
-// replacing the per-module registries they used to carry.
 //
 // snapshot() returns a consistent point-in-time view of everything; see
 // obs/export.hpp for the JSON / Prometheus serialisations.
@@ -82,14 +76,15 @@ inline void cell_add(std::uint64_t& c, std::uint64_t n) noexcept {
   cell_store(c, cell_load(c) + n);
 }
 
-/// This thread's counter-cell window (constant-initialised POD: no TLS
-/// guard check on the hot path).  Grown by slow_cell() on first touch of a
-/// counter id past the window.
+/// This thread's counter-cell window.  constinit on the declaration tells
+/// every including TU there is no dynamic initialiser, so inc() reads it
+/// without a call through the TLS init wrapper.  Grown by slow_cell() on
+/// first touch of a counter id past the window.
 struct TlsCells {
   std::uint64_t* data;
   std::uint32_t size;
 };
-extern thread_local TlsCells t_cells;
+extern constinit thread_local TlsCells t_cells;
 
 std::uint64_t* slow_cell(MetricId id);  // registers/extends this thread's slab
 
@@ -107,6 +102,14 @@ class Counter {
     const detail::TlsCells v = detail::t_cells;
     std::uint64_t* c = id_ < v.size ? v.data + id_ : detail::slow_cell(id_);
     detail::cell_add(*c, n);
+  }
+
+  /// This thread's count: 0 before the thread's first inc().  Diff it
+  /// around a region for exact per-thread counts (Table-1 persists, the
+  /// per-op trace fields) that other threads cannot disturb.
+  std::uint64_t local() const noexcept {
+    const detail::TlsCells v = detail::t_cells;
+    return id_ < v.size ? detail::cell_load(v.data[id_]) : 0;
   }
 
   /// Aggregate over all threads, including exited ones.
@@ -144,31 +147,12 @@ class Histogram {
   MetricId id_;
 };
 
-// --- legacy-struct bridge -------------------------------------------------
-
-/// Attach @p cell (a field of a thread-local stats struct owned by the
-/// calling thread) as a shard of counter @p id.  The cell must stay valid
-/// until detach_cell(); detaching folds its final value into the exited-
-/// thread total so aggregation keeps counting it.
-void attach_cell(MetricId id, std::uint64_t* cell);
-void detach_cell(MetricId id, std::uint64_t* cell);
-
 // --- aggregation ----------------------------------------------------------
 
 /// Aggregated value of one counter (live shards + exited-thread total).
 std::uint64_t counter_value(MetricId id);
 
-/// Zero one counter everywhere: exited-thread total, every live thread
-/// shard, every attached external cell.  Callers should quiesce writers for
-/// an exact zero; concurrent increments are not lost-update-safe (the same
-/// caveat the old per-module reset carried) but the operation itself is
-/// well-defined and crash-free.
-void reset_counter(MetricId id);
-
 /// Snapshot every registered metric.
 Snapshot snapshot();
-
-/// Reset every counter and histogram (gauges keep their last set value).
-void reset_all();
 
 }  // namespace rnt::obs

@@ -101,14 +101,14 @@ void OpScope::begin(OpKind kind, std::uint64_t key, std::uint32_t arm) noexcept 
   f.key = key;
   f.leaf = 0;
   if ((arm & kArmTimed) != 0) {
-    const htm::HtmStats& h = htm::tls_htm_stats();
+    const htm::HtmCounters& h = htm::htm_counters();
     f.t0 = now_ns();
-    f.persists = nvm::tls_stats().persist;
-    f.attempts = h.attempts;
-    f.aborts_conflict = h.aborts_conflict;
-    f.aborts_capacity = h.aborts_capacity;
-    f.aborts_other = h.aborts_other;
-    f.fallbacks = h.fallbacks;
+    f.persists = nvm::persist_counters().persist.local();
+    f.attempts = h.attempts.local();
+    f.aborts_conflict = h.aborts_conflict.local();
+    f.aborts_capacity = h.aborts_capacity.local();
+    f.aborts_other = h.aborts_other.local();
+    f.fallbacks = h.fallbacks.local();
     f.phase = detail::t_op.phase;
   }
   if ((arm & detail::kArmHeat) != 0) detail::heat_set_target(key);
@@ -142,24 +142,26 @@ void OpScope::end() noexcept {
     }
 
     if ((mask_ & detail::kArmTrace) != 0) {
-      const htm::HtmStats& h = htm::tls_htm_stats();
+      const htm::HtmCounters& h = htm::htm_counters();
       TraceEvent ev{};
       ev.ts_ns = ts;
       ev.key = f.key;
       ev.leaf_off = f.leaf;
       ev.latency_ns = latency;
-      ev.htm_attempts = static_cast<std::uint32_t>(h.attempts - f.attempts);
-      ev.persists =
-          static_cast<std::uint32_t>(nvm::tls_stats().persist - f.persists);
+      ev.htm_attempts =
+          static_cast<std::uint32_t>(h.attempts.local() - f.attempts);
+      ev.persists = static_cast<std::uint32_t>(
+          nvm::persist_counters().persist.local() - f.persists);
       ev.op = static_cast<std::uint16_t>(f.kind);
       ev.result = static_cast<std::uint16_t>(f.result);
-      ev.aborts_conflict =
-          static_cast<std::uint16_t>(h.aborts_conflict - f.aborts_conflict);
-      ev.aborts_capacity =
-          static_cast<std::uint16_t>(h.aborts_capacity - f.aborts_capacity);
+      ev.aborts_conflict = static_cast<std::uint16_t>(
+          h.aborts_conflict.local() - f.aborts_conflict);
+      ev.aborts_capacity = static_cast<std::uint16_t>(
+          h.aborts_capacity.local() - f.aborts_capacity);
       ev.aborts_other =
-          static_cast<std::uint16_t>(h.aborts_other - f.aborts_other);
-      ev.fallbacks = static_cast<std::uint16_t>(h.fallbacks - f.fallbacks);
+          static_cast<std::uint16_t>(h.aborts_other.local() - f.aborts_other);
+      ev.fallbacks =
+          static_cast<std::uint16_t>(h.fallbacks.local() - f.fallbacks);
       ev.phase_htm_ns = static_cast<std::uint32_t>(phase_ns[0]);
       ev.phase_lock_ns = static_cast<std::uint32_t>(phase_ns[1]);
       ev.phase_persist_ns = static_cast<std::uint32_t>(phase_ns[2]);

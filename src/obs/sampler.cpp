@@ -7,29 +7,14 @@
 #include <thread>
 
 #include "common/timing.hpp"
+#include "htm/rtm.hpp"
+#include "nvm/persist.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/metrics.hpp"
 
 namespace rnt::obs {
 
 namespace {
-
-// The counters a sample reads.  Registered here (idempotently) so the
-// sampler works even before the instrumented module has touched them.
-struct SampledIds {
-  MetricId ops = register_metric("op.completed", Kind::kCounter);
-  MetricId aborts_conflict = register_metric("htm.aborts_conflict", Kind::kCounter);
-  MetricId aborts_capacity = register_metric("htm.aborts_capacity", Kind::kCounter);
-  MetricId aborts_other = register_metric("htm.aborts_other", Kind::kCounter);
-  MetricId fallbacks = register_metric("htm.fallbacks", Kind::kCounter);
-  MetricId persists = register_metric("nvm.persist", Kind::kCounter);
-  MetricId pool_bytes = register_metric("pool.alloc_bytes", Kind::kCounter);
-};
-
-const SampledIds& ids() {
-  static SampledIds s;
-  return s;
-}
 
 struct Sample {
   std::uint64_t ts_ns = 0;
@@ -43,16 +28,18 @@ struct Sample {
 };
 
 Sample take_sample() {
-  const SampledIds& id = ids();
+  static const Counter ops("op.completed");
+  static const Counter pool_bytes("pool.alloc_bytes");
+  const htm::HtmCounters& h = htm::htm_counters();
   Sample s;
   s.ts_ns = now_ns();
-  s.ops = counter_value(id.ops);
-  s.aborts_conflict = counter_value(id.aborts_conflict);
-  s.aborts_capacity = counter_value(id.aborts_capacity);
-  s.aborts_other = counter_value(id.aborts_other);
-  s.fallbacks = counter_value(id.fallbacks);
-  s.persists = counter_value(id.persists);
-  s.pool_bytes = counter_value(id.pool_bytes);
+  s.ops = ops.value();
+  s.aborts_conflict = h.aborts_conflict.value();
+  s.aborts_capacity = h.aborts_capacity.value();
+  s.aborts_other = h.aborts_other.value();
+  s.fallbacks = h.fallbacks.value();
+  s.persists = nvm::persist_counters().persist.value();
+  s.pool_bytes = pool_bytes.value();
   return s;
 }
 

@@ -57,7 +57,7 @@ struct TraceEvent {
   std::uint32_t persists;      ///< persistent instructions during the op
   std::uint16_t op;            ///< OpKind
   std::uint16_t result;        ///< OpResult
-  // Abort-cause attribution during the op (diffed from HtmStats).
+  // Abort-cause attribution during the op (diffed from htm.* local()).
   std::uint16_t aborts_conflict;
   std::uint16_t aborts_capacity;
   std::uint16_t aborts_other;

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "htm/smo.hpp"
+#include "nvm/persist.hpp"
 #include "obs/heatmap.hpp"
 #include "shard/shard_obs.hpp"
 #include "obs/metrics.hpp"
@@ -27,13 +29,6 @@ struct SimMetrics {
   obs::Counter ops{"op.completed"};
   obs::Counter finds{"op.find"};
   obs::Counter updates{"op.update"};
-  obs::Counter aborts_conflict{"htm.aborts_conflict"};
-  obs::Counter aborts_capacity{"htm.aborts_capacity"};
-  obs::Counter fallbacks{"htm.fallbacks"};
-  obs::Counter smo_installs{"htm.smo.installs"};
-  obs::Counter persists{"nvm.persist"};
-  obs::Counter batch_persists{"nvm.batch_persist"};
-  obs::Counter batch_fences{"nvm.batch_fence"};
 };
 
 SimMetrics& sim_metrics() {
@@ -206,6 +201,9 @@ Task worker(Ctx& ctx, int wid) {
     SimMutex& fallback = ctx.fallbacks[shard_idx];
     if (n_shards > 1) shard::detail::count_shard_op(static_cast<int>(shard_idx));
     SimMetrics& sm = sim_metrics();
+    const htm::HtmCounters& hc = htm::htm_counters();
+    const nvm::PersistCounters& pc = nvm::persist_counters();
+    const htm::SmoCounters& smoc = htm::smo_counters();
     SimPhases ph;
     obs::heatmap_record_at(pick.key, obs::HeatCause::kOp);
 
@@ -216,12 +214,12 @@ Task worker(Ctx& ctx, int wid) {
     if (ctx.cfg.inject.enabled && leaf_idx == ctx.inject_leaf) {
       const SimTime inj0 = s.now();
       for (int a = 0; a < ctx.cfg.inject.aborts; ++a) {
-        sm.aborts_conflict.inc();
+        hc.aborts_conflict.inc();
         obs::heatmap_record_at(ctx.cfg.inject.key, obs::HeatCause::kConflict);
         co_await Delay{s, c.backoff};
       }
       ctx.htm_fallbacks++;
-      sm.fallbacks.inc();
+      hc.fallbacks.inc();
       obs::heatmap_record_at(ctx.cfg.inject.key, obs::HeatCause::kFallback);
       ph.add(obs::Phase::kHtm, s.now() - inj0);
     }
@@ -236,7 +234,7 @@ Task worker(Ctx& ctx, int wid) {
         if (!ctx.cfg.flush_inside_lock) {
           const SimTime d = ctx.channels.persist_latency(s.now());
           ph.add(obs::Phase::kPersist, d);
-          sm.persists.inc();
+          pc.persist.inc();
           co_await Delay{s, d};
         }
         // Step 4: short critical section.
@@ -248,7 +246,7 @@ Task worker(Ctx& ctx, int wid) {
         if (ctx.cfg.flush_inside_lock) {
           const SimTime d = ctx.channels.persist_latency(s.now());
           ph.add(obs::Phase::kPersist, d);
-          sm.persists.inc();
+          pc.persist.inc();
           co_await Delay{s, d};
         }
         co_await Delay{s, c.leaf_search + c.slot_update};
@@ -271,7 +269,7 @@ Task worker(Ctx& ctx, int wid) {
           ph.add(obs::Phase::kLockWait, s.now() - tw);
           stripe_held = true;
           ctx.htm_fallbacks++;
-          sm.fallbacks.inc();
+          hc.fallbacks.inc();
           obs::heatmap_record_at(pick.key, obs::HeatCause::kFallback);
         }
         // Scripted capacity-abort storm: hot-set publishes capacity-abort
@@ -284,7 +282,7 @@ Task worker(Ctx& ctx, int wid) {
                  rng.next_below(1000) < ctx.cfg.storm.permille) {
             ++aborts;
             ctx.aborts_capacity++;
-            sm.aborts_capacity.inc();
+            hc.aborts_capacity.inc();
             obs::heatmap_record_at(pick.key, obs::HeatCause::kCapacity);
             co_await Delay{s, c.backoff};
           }
@@ -294,7 +292,7 @@ Task worker(Ctx& ctx, int wid) {
             ph.add(obs::Phase::kLockWait, s.now() - tl);
             stripe_held = true;
             ctx.htm_fallbacks++;
-            sm.fallbacks.inc();
+            hc.fallbacks.inc();
             obs::heatmap_record_at(pick.key, obs::HeatCause::kFallback);
           }
         }
@@ -307,19 +305,19 @@ Task worker(Ctx& ctx, int wid) {
         if (dual) {
           // Slot flush does not block readers; only the transient copy does.
           if (batch > 1) {
-            sm.batch_persists.inc();
+            pc.batch_persist.inc();
             ph.add(obs::Phase::kPersist, c.persist_occupancy);
             co_await Delay{s, c.persist_occupancy};
             if (barrier_now) {
               const SimTime d = ctx.channels.persist_latency(s.now());
               ph.add(obs::Phase::kPersist, d);
-              sm.batch_fences.inc();
+              pc.batch_fence.inc();
               co_await Delay{s, d};
             }
           } else {
             const SimTime d = ctx.channels.persist_latency(s.now());
             ph.add(obs::Phase::kPersist, d);
-            sm.persists.inc();
+            pc.persist.inc();
             co_await Delay{s, d};
           }
           leaf.pub_seq++;
@@ -331,19 +329,19 @@ Task worker(Ctx& ctx, int wid) {
           // single-slot durability windows widen to the batch boundary).
           leaf.pub_seq++;
           if (batch > 1) {
-            sm.batch_persists.inc();
+            pc.batch_persist.inc();
             ph.add(obs::Phase::kPersist, c.persist_occupancy);
             co_await Delay{s, c.persist_occupancy};
             if (barrier_now) {
               const SimTime d = ctx.channels.persist_latency(s.now());
               ph.add(obs::Phase::kPersist, d);
-              sm.batch_fences.inc();
+              pc.batch_fence.inc();
               co_await Delay{s, d};
             }
           } else {
             const SimTime d = ctx.channels.persist_latency(s.now());
             ph.add(obs::Phase::kPersist, d);
-            sm.persists.inc();
+            pc.persist.inc();
             co_await Delay{s, d};
           }
           leaf.pub_seq++;
@@ -354,7 +352,7 @@ Task worker(Ctx& ctx, int wid) {
           co_await Delay{s, c.compact};
           const SimTime d = ctx.channels.persist_latency(s.now());
           ph.add(obs::Phase::kPersist, d);
-          sm.persists.inc();
+          pc.persist.inc();
           co_await Delay{s, d};
           ph.add(obs::Phase::kSmo, s.now() - t0);  // inclusive of its persist
         }
@@ -379,11 +377,11 @@ Task worker(Ctx& ctx, int wid) {
             for (int attempts = 0;
                  attempts < 3 && rng.next_below(1000) < conflict_pm;
                  ++attempts) {
-              sm.aborts_conflict.inc();
+              hc.aborts_conflict.inc();
               co_await Delay{s, c.backoff + smo.install_ns};
             }
             co_await Delay{s, smo.install_ns};
-            sm.smo_installs.inc();
+            smoc.installs.inc();
           } else {
             // In-place rewrite: the whole inner path is the transaction's
             // write set, so a fixed (size-driven, contention-independent)
@@ -397,7 +395,7 @@ Task worker(Ctx& ctx, int wid) {
                 done = true;
               } else {
                 ctx.aborts_capacity++;
-                sm.aborts_capacity.inc();
+                hc.aborts_capacity.inc();
                 co_await Delay{s, c.backoff};
               }
             }
@@ -406,7 +404,7 @@ Task worker(Ctx& ctx, int wid) {
               co_await fallback.acquire(s);
               ph.add(obs::Phase::kLockWait, s.now() - tl);
               ctx.htm_fallbacks++;
-              sm.fallbacks.inc();
+              hc.fallbacks.inc();
               co_await Delay{s, smo.inplace_ns};
               fallback.release(s);
             }
@@ -452,14 +450,14 @@ Task worker(Ctx& ctx, int wid) {
         if (!leaf.lock.locked() && !fallback.locked() &&
             rng.next_below(128) != 0)
           break;  // traversal committed
-        sm.aborts_conflict.inc();
+        hc.aborts_conflict.inc();
         obs::heatmap_record_at(pick.key, obs::HeatCause::kConflict);
         if (++attempts >= 3) {
           const SimTime tl = s.now();
           co_await fallback.acquire(s);
           lock_wait += s.now() - tl;
           ctx.htm_fallbacks++;
-          sm.fallbacks.inc();
+          hc.fallbacks.inc();
           obs::heatmap_record_at(pick.key, obs::HeatCause::kFallback);
           co_await Delay{s, c.traverse};
           fallback.release(s);
@@ -478,7 +476,7 @@ Task worker(Ctx& ctx, int wid) {
       for (int flush = 0; flush < 3; ++flush) {  // KV, fp, bitmap
         const SimTime d = ctx.channels.persist_latency(s.now());
         ph.add(obs::Phase::kPersist, d);
-        sm.persists.inc();
+        pc.persist.inc();
         co_await Delay{s, d};
       }
       leaf.last_commit = s.now();
@@ -508,14 +506,14 @@ Task worker(Ctx& ctx, int wid) {
         }
         if (committed) break;
         ctx.find_retries++;
-        sm.aborts_conflict.inc();
+        hc.aborts_conflict.inc();
         obs::heatmap_record_at(pick.key, obs::HeatCause::kConflict);
         if (++attempts >= 3) {
           const SimTime tl = s.now();
           co_await fallback.acquire(s);
           lock_wait += s.now() - tl;
           ctx.htm_fallbacks++;
-          sm.fallbacks.inc();
+          hc.fallbacks.inc();
           obs::heatmap_record_at(pick.key, obs::HeatCause::kFallback);
           co_await Delay{s, c.traverse};
           const SimTime tw = s.now();

@@ -243,9 +243,10 @@ class PersistCounts : public ::testing::Test {
 
   template <typename Fn>
   std::uint64_t persists_of(Fn&& fn) {
-    const nvm::PersistStats before = nvm::tls_stats();
+    const obs::Counter& persists = nvm::persist_counters().persist;
+    const std::uint64_t before = persists.local();
     fn();
-    return (nvm::tls_stats() - before).persist;
+    return persists.local() - before;
   }
 
   nvm::NvmConfig saved_;

@@ -258,12 +258,12 @@ CountResult count_events(const Scenario& sc) {
   const std::uint64_t splits0 = A::splits();
   const std::uint64_t comps0 = A::compactions();
   nvm::ShadowPool shadow(pool);
-  const nvm::PersistStats before = nvm::tls_stats();
+  const obs::Counter& persists = nvm::persist_counters().persist;
+  const std::uint64_t persists0 = persists.local();
   apply_step(*tree, m, sc.target);
-  const nvm::PersistStats d = nvm::tls_stats() - before;
   CountResult r;
   r.events = shadow.events_seen();
-  r.persists = d.persist;
+  r.persists = persists.local() - persists0;
   r.split_delta = A::splits() - splits0;
   r.compaction_delta = A::compactions() - comps0;
   r.height = tree->height();

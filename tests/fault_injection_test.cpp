@@ -13,6 +13,8 @@
 // invisible to callers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -34,32 +36,28 @@ namespace rnt {
 namespace {
 
 using htm::AbortCause;
-using htm::HtmStats;
+using H = htm::HtmCounters;
 using htm::RetryPolicy;
 using htm::ScopedAbortInjector;
 using htm::ScriptedAbortInjector;
 
-/// Field-wise delta of the calling thread's HTM stats across @p fn.
+/// The calling thread's htm.* counter deltas (Counter::local()) across
+/// @p fn, read one counter at a time: d(&H::commits).
 template <typename Fn>
-HtmStats stats_delta(Fn&& fn) {
-  const HtmStats before = htm::tls_htm_stats();
+auto stats_delta(Fn&& fn) {
+  using Field = const obs::Counter H::*;
+  static constexpr Field kAll[] = {
+      &H::attempts,          &H::commits,           &H::aborts_conflict,
+      &H::aborts_capacity,   &H::aborts_other,      &H::fallbacks,
+      &H::lock_acquisitions, &H::lock_wait_timeouts, &H::injected_conflict,
+      &H::injected_capacity, &H::injected_spurious,
+      &H::injected_lock_subscription};
+  const H& c = htm::htm_counters();
+  std::array<std::uint64_t, std::size(kAll)> d;
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] = (c.*kAll[i]).local();
   fn();
-  const HtmStats after = htm::tls_htm_stats();
-  HtmStats d;
-  d.attempts = after.attempts - before.attempts;
-  d.commits = after.commits - before.commits;
-  d.aborts_conflict = after.aborts_conflict - before.aborts_conflict;
-  d.aborts_capacity = after.aborts_capacity - before.aborts_capacity;
-  d.aborts_other = after.aborts_other - before.aborts_other;
-  d.fallbacks = after.fallbacks - before.fallbacks;
-  d.lock_acquisitions = after.lock_acquisitions - before.lock_acquisitions;
-  d.lock_wait_timeouts = after.lock_wait_timeouts - before.lock_wait_timeouts;
-  d.injected_conflict = after.injected_conflict - before.injected_conflict;
-  d.injected_capacity = after.injected_capacity - before.injected_capacity;
-  d.injected_spurious = after.injected_spurious - before.injected_spurious;
-  d.injected_lock_subscription =
-      after.injected_lock_subscription - before.injected_lock_subscription;
-  return d;
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] = (c.*kAll[i]).local() - d[i];
+  return [d](Field f) { return d[std::find(kAll, std::end(kAll), f) - kAll]; };
 }
 
 TEST(AbortInjection, ConflictsRetryWithBackoffThenCommit) {
@@ -67,14 +65,14 @@ TEST(AbortInjection, ConflictsRetryWithBackoffThenCommit) {
   ScopedAbortInjector scope(&inj);
   htm::SpinLock lock;
   int ran = 0;
-  const HtmStats d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
+  const auto d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(d.attempts, 3u);  // 2 aborted + 1 committed
-  EXPECT_EQ(d.commits, 1u);
-  EXPECT_EQ(d.aborts_conflict, 2u);
-  EXPECT_EQ(d.injected_conflict, 2u);
-  EXPECT_EQ(d.fallbacks, 0u);
-  EXPECT_EQ(d.lock_acquisitions, 0u);
+  EXPECT_EQ(d(&H::attempts), 3u);  // 2 aborted + 1 committed
+  EXPECT_EQ(d(&H::commits), 1u);
+  EXPECT_EQ(d(&H::aborts_conflict), 2u);
+  EXPECT_EQ(d(&H::injected_conflict), 2u);
+  EXPECT_EQ(d(&H::fallbacks), 0u);
+  EXPECT_EQ(d(&H::lock_acquisitions), 0u);
   EXPECT_EQ(inj.injected(), 2u);
 }
 
@@ -86,14 +84,14 @@ TEST(AbortInjection, CapacityAbortFallsBackImmediately) {
   ScopedAbortInjector scope(&inj);
   htm::SpinLock lock;
   int ran = 0;
-  const HtmStats d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
+  const auto d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(d.attempts, 1u);  // no retry after capacity
-  EXPECT_EQ(d.aborts_capacity, 1u);
-  EXPECT_EQ(d.injected_capacity, 1u);
-  EXPECT_EQ(d.fallbacks, 1u);
-  EXPECT_EQ(d.lock_acquisitions, 1u);
-  EXPECT_EQ(d.commits, 1u);  // the fallback critical section commits
+  EXPECT_EQ(d(&H::attempts), 1u);  // no retry after capacity
+  EXPECT_EQ(d(&H::aborts_capacity), 1u);
+  EXPECT_EQ(d(&H::injected_capacity), 1u);
+  EXPECT_EQ(d(&H::fallbacks), 1u);
+  EXPECT_EQ(d(&H::lock_acquisitions), 1u);
+  EXPECT_EQ(d(&H::commits), 1u);  // the fallback critical section commits
 }
 
 TEST(AbortInjection, SpuriousAbortsHaveABoundedBudget) {
@@ -105,23 +103,23 @@ TEST(AbortInjection, SpuriousAbortsHaveABoundedBudget) {
     ScriptedAbortInjector inj({AbortCause::kSpurious, AbortCause::kSpurious});
     ScopedAbortInjector scope(&inj);
     int ran = 0;
-    const HtmStats d = stats_delta(
+    const auto d = stats_delta(
         [&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
     EXPECT_EQ(ran, 1);
-    EXPECT_EQ(d.injected_spurious, 2u);
-    EXPECT_EQ(d.fallbacks, 0u);
+    EXPECT_EQ(d(&H::injected_spurious), 2u);
+    EXPECT_EQ(d(&H::fallbacks), 0u);
   }
   {  // One past the budget: gives up and takes the lock.
     ScriptedAbortInjector inj({AbortCause::kSpurious, AbortCause::kSpurious,
                                AbortCause::kSpurious});
     ScopedAbortInjector scope(&inj);
     int ran = 0;
-    const HtmStats d = stats_delta(
+    const auto d = stats_delta(
         [&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
     EXPECT_EQ(ran, 1);
-    EXPECT_EQ(d.injected_spurious, 3u);
-    EXPECT_EQ(d.fallbacks, 1u);
-    EXPECT_EQ(d.lock_acquisitions, 1u);
+    EXPECT_EQ(d(&H::injected_spurious), 3u);
+    EXPECT_EQ(d(&H::fallbacks), 1u);
+    EXPECT_EQ(d(&H::lock_acquisitions), 1u);
   }
 }
 
@@ -132,12 +130,12 @@ TEST(AbortInjection, LockSubscriptionAbortWaitsAndRetries) {
   ScopedAbortInjector scope(&inj);
   htm::SpinLock lock;
   int ran = 0;
-  const HtmStats d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
+  const auto d = stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }); });
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(d.attempts, 2u);
-  EXPECT_EQ(d.injected_lock_subscription, 1u);
-  EXPECT_EQ(d.lock_wait_timeouts, 0u);
-  EXPECT_EQ(d.fallbacks, 0u);
+  EXPECT_EQ(d(&H::attempts), 2u);
+  EXPECT_EQ(d(&H::injected_lock_subscription), 1u);
+  EXPECT_EQ(d(&H::lock_wait_timeouts), 0u);
+  EXPECT_EQ(d(&H::fallbacks), 0u);
 }
 
 TEST(AbortInjection, MaxAttemptsExhaustionFallsBack) {
@@ -148,12 +146,12 @@ TEST(AbortInjection, MaxAttemptsExhaustionFallsBack) {
   ScopedAbortInjector scope(&inj);
   htm::SpinLock lock;
   int ran = 0;
-  const HtmStats d =
+  const auto d =
       stats_delta([&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(d.attempts, 3u);  // policy bound, not script length
-  EXPECT_EQ(d.fallbacks, 1u);
-  EXPECT_EQ(d.lock_acquisitions, 1u);
+  EXPECT_EQ(d(&H::attempts), 3u);  // policy bound, not script length
+  EXPECT_EQ(d(&H::fallbacks), 1u);
+  EXPECT_EQ(d(&H::lock_acquisitions), 1u);
 }
 
 TEST(AbortInjection, BoundedLockWaitTimesOutInsteadOfSpinningForever) {
@@ -164,12 +162,13 @@ TEST(AbortInjection, BoundedLockWaitTimesOutInsteadOfSpinningForever) {
   lock.lock();
   RetryPolicy policy;
   policy.lock_wait_pauses = 4;
-  HtmStats st;
-  EXPECT_FALSE(htm::detail::bounded_lock_wait(lock, policy, st));
-  EXPECT_EQ(st.lock_wait_timeouts, 1u);
+  const obs::Counter& timeouts = htm::htm_counters().lock_wait_timeouts;
+  const std::uint64_t t0 = timeouts.local();
+  EXPECT_FALSE(htm::detail::bounded_lock_wait(lock, policy));
+  EXPECT_EQ(timeouts.local() - t0, 1u);
   lock.unlock();
-  EXPECT_TRUE(htm::detail::bounded_lock_wait(lock, policy, st));
-  EXPECT_EQ(st.lock_wait_timeouts, 1u);
+  EXPECT_TRUE(htm::detail::bounded_lock_wait(lock, policy));
+  EXPECT_EQ(timeouts.local() - t0, 1u);
 }
 
 // Keeps the suite name it had when the publish fallback was a striped lock
@@ -187,9 +186,10 @@ TEST(StripeTableTest, BoundedLockWaitRecordsLockWaitHeat) {
     lk.lock();
     RetryPolicy p;
     p.lock_wait_pauses = 2;
-    HtmStats st;
-    EXPECT_FALSE(htm::detail::bounded_lock_wait(lk, p, st));
-    EXPECT_EQ(st.lock_wait_timeouts, 1u);
+    const obs::Counter& timeouts = htm::htm_counters().lock_wait_timeouts;
+    const std::uint64_t t0 = timeouts.local();
+    EXPECT_FALSE(htm::detail::bounded_lock_wait(lk, p));
+    EXPECT_EQ(timeouts.local() - t0, 1u);
     lk.unlock();
   }
   const obs::HeatmapSnapshot snap = obs::heatmap_snapshot();
@@ -208,16 +208,16 @@ TEST(AbortInjection, NullFallbackLockIsNeverTaken) {
       {AbortCause::kLockSubscription, AbortCause::kCapacity});
   ScopedAbortInjector scope(&inj);
   int ran = 0;
-  const HtmStats d =
+  const auto d =
       stats_delta([&] { htm::atomic_exec(nullptr, [&] { ++ran; }); });
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(d.attempts, 2u);
-  EXPECT_EQ(d.injected_lock_subscription, 1u);
-  EXPECT_EQ(d.aborts_capacity, 1u);
-  EXPECT_EQ(d.fallbacks, 1u);
-  EXPECT_EQ(d.commits, 1u);
-  EXPECT_EQ(d.lock_acquisitions, 0u);
-  EXPECT_EQ(d.lock_wait_timeouts, 0u);
+  EXPECT_EQ(d(&H::attempts), 2u);
+  EXPECT_EQ(d(&H::injected_lock_subscription), 1u);
+  EXPECT_EQ(d(&H::aborts_capacity), 1u);
+  EXPECT_EQ(d(&H::fallbacks), 1u);
+  EXPECT_EQ(d(&H::commits), 1u);
+  EXPECT_EQ(d(&H::lock_acquisitions), 0u);
+  EXPECT_EQ(d(&H::lock_wait_timeouts), 0u);
 }
 
 TEST(AbortInjection, PublishFallbacksRunUnderTheLeafLockAlone) {
@@ -243,7 +243,7 @@ TEST(AbortInjection, PublishFallbacksRunUnderTheLeafLockAlone) {
   ScriptedAbortInjector inj({AbortCause::kCapacity});
   ScopedAbortInjector scope(&inj);
   std::uint64_t publishes = 0;
-  const HtmStats d = stats_delta([&] {
+  const auto d = stats_delta([&] {
     // Every 4th key: at most 8 fresh log entries per leaf, far from the
     // log-full split threshold.
     for (std::uint64_t k = 0; k < kKeys / 2; k += 4) {
@@ -259,10 +259,10 @@ TEST(AbortInjection, PublishFallbacksRunUnderTheLeafLockAlone) {
   });
   EXPECT_EQ(splits.value(), splits0) << "a publish split a leaf";
   EXPECT_EQ(shrinks.value(), shrinks0);
-  EXPECT_EQ(d.fallbacks, publishes);
-  EXPECT_EQ(d.aborts_capacity, publishes);
-  EXPECT_EQ(d.commits, publishes);
-  EXPECT_EQ(d.lock_acquisitions, 0u);
+  EXPECT_EQ(d(&H::fallbacks), publishes);
+  EXPECT_EQ(d(&H::aborts_capacity), publishes);
+  EXPECT_EQ(d(&H::commits), publishes);
+  EXPECT_EQ(d(&H::lock_acquisitions), 0u);
   EXPECT_EQ(tree.size(), oracle.size());
   for (const auto& [k, v] : oracle) ASSERT_EQ(tree.find(k), std::optional(v));
   tree.check_invariants();
@@ -282,13 +282,14 @@ TEST(AbortInjection, StalledLockHolderDegradesWithoutLivelock) {
       {AbortCause::kLockSubscription, AbortCause::kLockSubscription});
   ScopedAbortInjector scope(&inj);
   int ran = 0;
+  const obs::Counter& timeouts = htm::htm_counters().lock_wait_timeouts;
+  const std::uint64_t timeouts0 = timeouts.value();
   std::thread t([&] { htm::atomic_exec(&lock, [&] { ++ran; }, policy); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   lock.unlock();  // un-stall the holder; the waiter completes
   t.join();
   EXPECT_EQ(ran, 1);
-  const HtmStats agg = htm::aggregate_htm_stats();
-  EXPECT_GE(agg.lock_wait_timeouts, 1u);
+  EXPECT_GE(timeouts.value() - timeouts0, 1u);
 }
 
 TEST(AbortInjection, MutualExclusionHoldsUnderRandomInjection) {
@@ -369,7 +370,7 @@ TEST(AbortInjection, TreeOpsAreCorrectUnderRandomInjection) {
   nvm::PmemPool pool(std::size_t{32} << 20);
   core::RNTree<std::uint64_t, std::uint64_t> tree(pool);
   std::map<std::uint64_t, std::uint64_t> oracle;
-  const HtmStats d = stats_delta([&] {
+  const auto d = stats_delta([&] {
     for (std::uint64_t i = 0; i < 3000; ++i) {
       const std::uint64_t k = (i * 2654435761u) % 1024;
       if (i % 3 == 0) {
@@ -381,8 +382,8 @@ TEST(AbortInjection, TreeOpsAreCorrectUnderRandomInjection) {
       }
     }
   });
-  EXPECT_GT(d.injected_conflict + d.injected_capacity + d.injected_spurious +
-                d.injected_lock_subscription,
+  EXPECT_GT(d(&H::injected_conflict) + d(&H::injected_capacity) +
+                d(&H::injected_spurious) + d(&H::injected_lock_subscription),
             0u)
       << "workload never reached an injected abort";
   EXPECT_EQ(tree.size(), oracle.size());

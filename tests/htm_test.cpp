@@ -225,9 +225,9 @@ TEST(AtomicExec, MultiWordAtomicVisibility) {
 
 TEST(AtomicExec, StatsRecordCommits) {
   SpinLock fb;
-  tls_htm_stats().reset();
+  const std::uint64_t commits0 = htm_counters().commits.local();
   for (int i = 0; i < 100; ++i) atomic_exec(&fb, [] {});
-  EXPECT_EQ(tls_htm_stats().commits, 100u);
+  EXPECT_EQ(htm_counters().commits.local() - commits0, 100u);
 }
 
 TEST(Rtm, SupportQueryIsStable) {

@@ -7,9 +7,24 @@
 
 #include "common/timing.hpp"
 #include "nvm/persist.hpp"
+#include "obs/metrics.hpp"
 
 namespace rnt::nvm {
 namespace {
+
+/// This thread's nvm.* counts (Counter::local()), diffed around a call.
+struct Counts {
+  std::uint64_t clwb, fence, persist, lines;
+  Counts operator-(const Counts& o) const {
+    return {clwb - o.clwb, fence - o.fence, persist - o.persist,
+            lines - o.lines};
+  }
+};
+
+Counts local_counts() {
+  const PersistCounters& c = persist_counters();
+  return {c.clwb.local(), c.fence.local(), c.persist.local(), c.lines.local()};
+}
 
 class PersistTest : public ::testing::Test {
  protected:
@@ -17,7 +32,6 @@ class PersistTest : public ::testing::Test {
     saved_ = config();
     config().write_latency_ns = 0;  // no delays unless a test asks for them
     config().per_line_ns = 0;
-    tls_stats().reset();
   }
   void TearDown() override { config() = saved_; }
   NvmConfig saved_;
@@ -25,9 +39,9 @@ class PersistTest : public ::testing::Test {
 
 TEST_F(PersistTest, PersistCountsOneCompound) {
   alignas(64) char buf[256];
-  const PersistStats before = tls_stats();
+  const Counts before = local_counts();
   persist(buf, 64);
-  const PersistStats d = tls_stats() - before;
+  const Counts d = local_counts() - before;
   EXPECT_EQ(d.persist, 1u);
   EXPECT_EQ(d.clwb, 1u);
   EXPECT_EQ(d.fence, 1u);
@@ -36,23 +50,23 @@ TEST_F(PersistTest, PersistCountsOneCompound) {
 
 TEST_F(PersistTest, PersistFlushesEveryTouchedLine) {
   alignas(64) char buf[512];
-  const PersistStats before = tls_stats();
+  const Counts before = local_counts();
   persist(buf + 32, 64);  // straddles two lines
-  PersistStats d = tls_stats() - before;
+  Counts d = local_counts() - before;
   EXPECT_EQ(d.persist, 1u);
   EXPECT_EQ(d.clwb, 2u);
 
-  const PersistStats before2 = tls_stats();
+  const Counts before2 = local_counts();
   persist(buf, 512);
-  d = tls_stats() - before2;
+  d = local_counts() - before2;
   EXPECT_EQ(d.clwb, 8u);
   EXPECT_EQ(d.fence, 1u);
 }
 
 TEST_F(PersistTest, FenceWithoutPendingChargesNothing) {
-  const PersistStats before = tls_stats();
+  const Counts before = local_counts();
   sfence();
-  const PersistStats d = tls_stats() - before;
+  const Counts d = local_counts() - before;
   EXPECT_EQ(d.fence, 1u);
   EXPECT_EQ(d.lines, 0u);
 }
@@ -96,65 +110,66 @@ TEST_F(PersistTest, StoreHelpersWriteThrough) {
 
 TEST_F(PersistTest, AggregateSumsAcrossThreads) {
   alignas(64) char buf[64];
-  reset_aggregate_stats();
+  const PersistCounters& c = persist_counters();
+  const std::uint64_t persist0 = c.persist.value();
+  const std::uint64_t fence0 = c.fence.value();
   persist(buf, 8);
   std::thread t([&] {
-    alignas(64) char tbuf[64];
+    alignas(64) char tbuf[64] = {};
     persist(tbuf, 8);
     persist(tbuf, 8);
   });
   t.join();
-  const PersistStats agg = aggregate_stats();
-  EXPECT_EQ(agg.persist, 3u);
-  EXPECT_EQ(agg.fence, 3u);
-}
-
-TEST_F(PersistTest, ResetAggregateClears) {
-  alignas(64) char buf[64];
-  persist(buf, 8);
-  reset_aggregate_stats();
-  EXPECT_EQ(aggregate_stats().persist, 0u);
-  EXPECT_EQ(tls_stats().persist, 0u);
+  EXPECT_EQ(c.persist.value() - persist0, 3u);
+  EXPECT_EQ(c.fence.value() - fence0, 3u);
 }
 
 TEST_F(PersistTest, AggregateIncludesExitedThreads) {
-  reset_aggregate_stats();
   // Both recorder threads exit before aggregation; their counts must have
   // been folded into the registry's retired totals, not lost.
+  const PersistCounters& c = persist_counters();
+  const std::uint64_t persist0 = c.persist.value();
+  const std::uint64_t fence0 = c.fence.value();
+  const std::uint64_t clwb0 = c.clwb.value();
   for (int t = 0; t < 2; ++t) {
     std::thread([] {
-      alignas(64) char tbuf[64];
+      alignas(64) char tbuf[64] = {};
       persist(tbuf, 8);
       persist(tbuf, 8);
     }).join();
   }
-  const PersistStats agg = aggregate_stats();
-  EXPECT_EQ(agg.persist, 4u);
-  EXPECT_EQ(agg.fence, 4u);
-  EXPECT_EQ(agg.clwb, 4u);
+  EXPECT_EQ(c.persist.value() - persist0, 4u);
+  EXPECT_EQ(c.fence.value() - fence0, 4u);
+  EXPECT_EQ(c.clwb.value() - clwb0, 4u);
 }
 
-TEST_F(PersistTest, ResetAggregateSafeWhileRecordersLive) {
-  // Exactness under a concurrent reset is out of contract; this pins down
-  // that the operation is crash-free and the registry stays consistent
-  // (value never exceeds what the recorders could have written).
-  reset_aggregate_stats();
+TEST_F(PersistTest, AggregateWhileRecordersLive) {
+  // Recorders bump their cells while the main thread aggregates: every read
+  // of a live thread's cell must be a well-defined race (the regression a
+  // TSan build catches), and once the recorders have exited the aggregate
+  // must account for every persist they counted themselves.
+  const obs::Counter& persists = persist_counters().persist;
+  const std::uint64_t persist0 = persists.value();
+  constexpr int kRecorders = 3;
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<std::uint64_t> recorded{0};
   std::vector<std::thread> recorders;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kRecorders; ++t) {
     recorders.emplace_back([&] {
-      alignas(64) char tbuf[64];
+      alignas(64) char tbuf[64] = {};
+      persist(tbuf, 8);
+      ++started;
       while (!stop.load(std::memory_order_relaxed)) persist(tbuf, 8);
+      recorded += persists.local();
     });
   }
-  for (int i = 0; i < 200; ++i) {
-    reset_aggregate_stats();
-    (void)aggregate_stats();
-  }
+  while (started.load() < kRecorders) std::this_thread::yield();
+  for (int i = 0; i < 200; ++i) (void)obs::snapshot();
   stop = true;
   for (auto& t : recorders) t.join();
-  reset_aggregate_stats();
-  EXPECT_EQ(aggregate_stats().persist, 0u);
+  EXPECT_GE(recorded.load(), static_cast<std::uint64_t>(kRecorders));
+  EXPECT_EQ(persists.value() - persist0, recorded.load());
 }
 
 TEST_F(PersistTest, NoShadowActiveByDefault) {

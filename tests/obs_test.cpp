@@ -57,34 +57,17 @@ TEST(Registry, SameNameReturnsSameMetric) {
   EXPECT_EQ(a.value(), 3u);
 }
 
-TEST(Registry, ResetCounterZeroesEverywhere) {
-  Counter c("test.reg.reset");
-  c.inc(9);
-  std::thread([&] { c.inc(10); }).join();  // lands in the retired total
-  EXPECT_EQ(c.value(), 19u);
-  reset_counter(c.id());
-  EXPECT_EQ(c.value(), 0u);
-  c.inc(2);
-  EXPECT_EQ(c.value(), 2u);
-}
-
-TEST(Registry, ResetIsSafeWhileRecordersLive) {
-  // Not an exactness test (reset concurrent with increments loses counts by
-  // contract) — only that nothing crashes or goes backwards wildly.
-  Counter c("test.reg.racyreset");
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 3; ++t)
-    ts.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) c.inc();
-    });
-  for (int i = 0; i < 100; ++i) {
-    reset_counter(c.id());
-    (void)c.value();
-  }
-  stop = true;
-  for (auto& t : ts) t.join();
-  SUCCEED();
+TEST(Registry, LocalReadsOnlyThisThread) {
+  Counter c("test.reg.local");
+  c.inc(5);
+  EXPECT_EQ(c.local(), 5u);
+  std::thread([&] {
+    EXPECT_EQ(c.local(), 0u);  // fresh thread: no cell yet
+    c.inc(3);
+    EXPECT_EQ(c.local(), 3u);  // only this thread's increments
+  }).join();
+  EXPECT_EQ(c.local(), 5u);
+  EXPECT_EQ(c.value(), 8u);  // the exited thread's count stays in value()
 }
 
 TEST(Registry, GaugeSetAddValue) {
@@ -106,18 +89,6 @@ TEST(Registry, HistogramMergesThreadShards) {
   EXPECT_EQ(agg.count(), 100u);
   EXPECT_EQ(agg.min(), 10u);
   EXPECT_EQ(agg.max(), 1000u);
-}
-
-TEST(Registry, AttachedCellBridgeCountsAndFolds) {
-  const MetricId id = register_metric("test.reg.bridge", Kind::kCounter);
-  std::uint64_t cell = 0;
-  attach_cell(id, &cell);
-  cell = 50;
-  EXPECT_EQ(counter_value(id), 50u);
-  detach_cell(id, &cell);  // folds the final value into the retired total
-  EXPECT_EQ(counter_value(id), 50u);
-  cell = 999;  // detached: no longer visible
-  EXPECT_EQ(counter_value(id), 50u);
 }
 
 TEST(Registry, SnapshotContainsRegisteredMetrics) {

@@ -217,7 +217,7 @@ TEST_P(RNTreeStressTest, PublishStormSplitHeavy) {
 
   htm::RandomAbortInjector storm(/*seed=*/0x5107, /*abort_permille=*/800);
   htm::PublishTargetedInjector publishes_only(storm);
-  const std::uint64_t fallbacks0 = htm::aggregate_htm_stats().fallbacks;
+  const std::uint64_t fallbacks0 = htm::htm_counters().fallbacks.value();
   htm::ScopedAbortInjector scope(&publishes_only);
 
   constexpr std::uint64_t kInsertsPerWriter = 8000;
@@ -255,7 +255,7 @@ TEST_P(RNTreeStressTest, PublishStormSplitHeavy) {
   threads[2].join();
   threads[3].join();
 
-  EXPECT_GT(htm::aggregate_htm_stats().fallbacks, fallbacks0)
+  EXPECT_GT(htm::htm_counters().fallbacks.value(), fallbacks0)
       << "the storm never drove a publish onto its fallback";
   EXPECT_EQ(torn_reads.load(), 0u);
   EXPECT_EQ(tree.size(), kSettled + 2 * kInsertsPerWriter);

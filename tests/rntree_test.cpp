@@ -206,24 +206,24 @@ TEST_P(RNTreeTest, TwoPersistentInstructionsPerInsert) {
   // one for the KV entry, one for the slot array (amortised split persists
   // excluded, so measure on a half-filled fresh leaf).
   for (std::uint64_t i = 0; i < 10; ++i) ASSERT_TRUE(tree_->insert(i * 2, i));
-  const nvm::PersistStats before = nvm::tls_stats();
+  const obs::Counter& persists = nvm::persist_counters().persist;
+  const std::uint64_t before = persists.local();
   ASSERT_TRUE(tree_->insert(1, 1));
-  const nvm::PersistStats d = nvm::tls_stats() - before;
-  EXPECT_EQ(d.persist, 2u);
+  EXPECT_EQ(persists.local() - before, 2u);
 
-  const nvm::PersistStats before2 = nvm::tls_stats();
+  const std::uint64_t before2 = persists.local();
   ASSERT_TRUE(tree_->update(1, 2));
-  EXPECT_EQ((nvm::tls_stats() - before2).persist, 2u);
+  EXPECT_EQ(persists.local() - before2, 2u);
 
   // Remove touches only the slot array: 1 persistent instruction.
-  const nvm::PersistStats before3 = nvm::tls_stats();
+  const std::uint64_t before3 = persists.local();
   ASSERT_TRUE(tree_->remove(1));
-  EXPECT_EQ((nvm::tls_stats() - before3).persist, 1u);
+  EXPECT_EQ(persists.local() - before3, 1u);
 
   // Find performs none.
-  const nvm::PersistStats before4 = nvm::tls_stats();
+  const std::uint64_t before4 = persists.local();
   (void)tree_->find(4);
-  EXPECT_EQ((nvm::tls_stats() - before4).persist, 0u);
+  EXPECT_EQ(persists.local() - before4, 0u);
 }
 
 TEST_P(RNTreeTest, RecoveryAfterCleanShutdown) {

@@ -201,21 +201,25 @@ TEST_F(ShardedTreeTest, BatchFenceAccountingIsExact) {
   SH tree(pool, {.shards = 4, .partition = Partition::kHash});
   for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(tree.insert(i, 0));
 
-  const nvm::PersistStats before = nvm::tls_stats();
+  const nvm::PersistCounters& c = nvm::persist_counters();
+  const std::uint64_t fence0 = c.fence.local();
+  const std::uint64_t batch_fence0 = c.batch_fence.local();
+  const std::uint64_t batch_persist0 = c.batch_persist.local();
   {
     SH::ModifyBatch batch(tree, 8);
     for (std::uint64_t i = 0; i < 8; ++i) ASSERT_TRUE(batch.update(i, i + 1));
   }
-  const nvm::PersistStats mid = nvm::tls_stats();
-  EXPECT_EQ(mid.fence - before.fence, 8u);          // eager KV fences
-  EXPECT_EQ(mid.batch_fence - before.batch_fence, 1u);
-  EXPECT_EQ(mid.batch_persist - before.batch_persist, 8u);  // deferred slots
+  const std::uint64_t fence1 = c.fence.local();
+  const std::uint64_t batch_fence1 = c.batch_fence.local();
+  const std::uint64_t batch_persist1 = c.batch_persist.local();
+  EXPECT_EQ(fence1 - fence0, 8u);                   // eager KV fences
+  EXPECT_EQ(batch_fence1 - batch_fence0, 1u);
+  EXPECT_EQ(batch_persist1 - batch_persist0, 8u);   // deferred slots
 
   for (std::uint64_t i = 0; i < 8; ++i) ASSERT_TRUE(tree.update(i, i + 2));
-  const nvm::PersistStats after = nvm::tls_stats();
-  EXPECT_EQ(after.fence - mid.fence, 16u);          // 2 fences per eager op
-  EXPECT_EQ(after.batch_fence - mid.batch_fence, 0u);
-  EXPECT_EQ(after.batch_persist - mid.batch_persist, 0u);
+  EXPECT_EQ(c.fence.local() - fence1, 16u);         // 2 fences per eager op
+  EXPECT_EQ(c.batch_fence.local() - batch_fence1, 0u);
+  EXPECT_EQ(c.batch_persist.local() - batch_persist1, 0u);
 }
 
 TEST_F(ShardedTreeTest, BatchAutoFlushesAtCapacity) {
@@ -224,17 +228,18 @@ TEST_F(ShardedTreeTest, BatchAutoFlushesAtCapacity) {
   for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(tree.insert(i, 0));
 
   SH::ModifyBatch batch(tree, 4);
-  const nvm::PersistStats before = nvm::tls_stats();
+  const obs::Counter& batch_fences = nvm::persist_counters().batch_fence;
+  const std::uint64_t before = batch_fences.local();
   ASSERT_TRUE(batch.update(0, 1));
   ASSERT_TRUE(batch.update(1, 1));
   ASSERT_TRUE(batch.update(2, 1));
   EXPECT_EQ(batch.staged(), 3u);
-  EXPECT_EQ(nvm::tls_stats().batch_fence - before.batch_fence, 0u);
+  EXPECT_EQ(batch_fences.local() - before, 0u);
   ASSERT_TRUE(batch.update(3, 1));  // hits cap: auto-flush
   EXPECT_EQ(batch.staged(), 0u);
-  EXPECT_EQ(nvm::tls_stats().batch_fence - before.batch_fence, 1u);
+  EXPECT_EQ(batch_fences.local() - before, 1u);
   batch.flush();  // nothing staged: no extra barrier
-  EXPECT_EQ(nvm::tls_stats().batch_fence - before.batch_fence, 1u);
+  EXPECT_EQ(batch_fences.local() - before, 1u);
   // Results surface immediately even before the durability barrier.
   ASSERT_TRUE(batch.insert(100, 7));
   EXPECT_EQ(batch.staged(), 1u);
