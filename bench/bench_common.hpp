@@ -89,11 +89,11 @@ struct BenchOptions {
   std::uint32_t per_line_ns = 2;
   std::uint64_t seed = 42;
   bool paper = false;
-  std::string stats_json;        ///< --stats-json=FILE ("" = no export)
+  std::string stats_json{};      ///< --stats-json=FILE ("" = no export)
   std::uint64_t trace_events = 0;  ///< --trace=N per-thread ring capacity
   bool trace_in_json = false;    ///< explicit --trace: include "trace" in JSON
   std::uint32_t sample_ms = 0;   ///< --sample-ms=N sampler interval (0 = off)
-  std::string perfetto;          ///< --perfetto=FILE ("" = no timeline export)
+  std::string perfetto{};        ///< --perfetto=FILE ("" = no timeline export)
   std::uint32_t heatmap_buckets = 0;  ///< --heatmap-buckets=N (0 = heatmap off)
   bool heatmap_by_leaf = false;  ///< --heatmap-mode=leaf
   /// --shards=N shard count for the sharded panels/segments (power of two in

@@ -305,51 +305,86 @@ class RNTree {
     }
   }
 
+  /// Leaf-at-a-time range cursor (S5.2.4): the one way every scan reads
+  /// leaves.  The constructor pins the epoch for the cursor's lifetime (so a
+  /// Leaf* held between next() calls stays valid), descends once and
+  /// prefetches the leaf it lands on, so a caller opening several cursors
+  /// overlaps their leaf fetches.  next() B-link-chases to the leaf covering
+  /// start, then walks the persistent next chain one validated leaf snapshot
+  /// at a time.  Atomic per leaf, not across leaves.
+  class Cursor {
+   public:
+    Cursor(const RNTree& t, Key start)
+        : t_(&t), g_(t.epochs_.pin()), start_(start), leaf_(t.inner_.find_leaf(start)) {
+      prefetch_range(leaf_, sizeof(Leaf));
+    }
+
+    /// Pool offset of the leaf the descent landed on (the scan's leaf).
+    std::uint64_t leaf_off() const noexcept { return t_->pool_.off(leaf_); }
+
+    /// Copy the next non-empty leaf's entries (ascending; only keys >=
+    /// start on the first leaf) into @p out, which has room for
+    /// Leaf::kLogCap.  Returns how many; 0 once the chain is exhausted.
+    RNT_NO_SANITIZE_THREAD int next(Entry* out) {
+      while (leaf_ != nullptr) {
+        Leaf* leaf = leaf_;
+        const std::uint64_t v = leaf->vlock.stable_version();
+        if (first_ && beyond(leaf, start_)) {  // split moved start rightwards
+          Leaf* nxt = t_->next_leaf(leaf);
+          if (leaf->vlock.stable_version() == v && nxt != nullptr) leaf_ = nxt;
+          continue;
+        }
+        alignas(kCacheLineSize) std::uint8_t snap[2 * kCacheLineSize];
+        if (!t_->snapshot_slot(leaf, snap)) continue;
+        const int from = first_ ? slot_lower_bound(snap, leaf->logs, start_) : 0;
+        int n = 0;
+        for (int i = from; i < snap[0]; ++i) out[n++] = leaf->logs[snap[1 + i]];
+        Leaf* nxt = t_->next_leaf(leaf);
+        if (leaf->vlock.stable_version() != v) continue;  // split raced: redo leaf
+        if (nxt != nullptr) prefetch_range(nxt, sizeof(Leaf));
+        // Heat every visited leaf beyond the first (the op's own key heated
+        // that one), so a long scan heats the whole range it reads.
+        if (!first_ && n > 0) obs::heatmap_record_at(out[0].key, obs::HeatCause::kOp);
+        first_ = false;
+        leaf_ = nxt;
+        if (n > 0) return n;
+      }
+      return 0;
+    }
+
+    /// Feed entries to @p fn (counting them in @p visited) until it returns
+    /// false (-> false) or the chain ends (-> true).
+    template <typename Fn>
+    bool drain(Fn& fn, std::size_t& visited) {
+      Entry buf[Leaf::kLogCap];
+      while (const int n = next(buf)) {
+        for (int i = 0; i < n; ++i) {
+          ++visited;
+          if (!fn(buf[i].key, buf[i].value)) return false;
+        }
+      }
+      return true;
+    }
+
+   private:
+    const RNTree* t_;
+    epoch::Guard g_;
+    Key start_;
+    Leaf* leaf_;
+    bool first_ = true;
+  };
+
   /// Range query (S5.2.4): visit entries with key >= @p start in ascending
   /// order until @p fn returns false.  fn(key, value) -> bool (continue?).
   /// Per-leaf atomic snapshots; the scan as a whole follows the persistent
   /// next chain exactly as the paper describes.
   template <typename Fn>
-  RNT_NO_SANITIZE_THREAD std::size_t scan(Key start, Fn&& fn) const {
+  std::size_t scan(Key start, Fn&& fn) const {
     obs::OpScope op(obs::OpKind::kScan, start);
-    epoch::Guard g = epochs_.pin();
+    Cursor c(*this, start);
+    op.leaf(c.leaf_off());
     std::size_t visited = 0;
-    Leaf* leaf = inner_.find_leaf(start);
-    bool first = true;
-    while (leaf != nullptr) {
-      const std::uint64_t v = leaf->vlock.stable_version();
-      if (first && beyond(leaf, start)) {
-        Leaf* nxt = pool_.ptr<Leaf>(leaf->next.load(std::memory_order_acquire));
-        if (leaf->vlock.stable_version() != v || nxt == nullptr) continue;
-        leaf = nxt;
-        continue;
-      }
-      alignas(kCacheLineSize) std::uint8_t snap[2 * kCacheLineSize];
-      if (!snapshot_slot(leaf, snap)) continue;
-      Entry batch[Leaf::kLogCap];
-      const int count = snap[0];
-      int n_batch = 0;
-      const int from = first ? slot_lower_bound(snap, leaf->logs, start) : 0;
-      for (int i = from; i < count; ++i) batch[n_batch++] = leaf->logs[snap[1 + i]];
-      Leaf* nxt = pool_.ptr<Leaf>(leaf->next.load(std::memory_order_acquire));
-      if (leaf->vlock.stable_version() != v) continue;  // split raced: redo leaf
-      if (first) {
-        op.leaf(pool_.off(leaf));
-      } else if (n_batch > 0) {
-        // Attribute heat to every leaf the scan actually visits, not just
-        // its start bucket — a 1000-key scan heats the whole visited range.
-        obs::heatmap_record_at(batch[0].key, obs::HeatCause::kOp);
-      }
-      first = false;
-      for (int i = 0; i < n_batch; ++i) {
-        ++visited;
-        if (!fn(batch[i].key, batch[i].value)) {
-          op.finish(visited > 0);
-          return visited;
-        }
-      }
-      leaf = nxt;
-    }
+    c.drain(fn, visited);
     op.finish(visited > 0);
     return visited;
   }

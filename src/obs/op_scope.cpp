@@ -11,7 +11,7 @@ namespace rnt::obs {
 
 namespace detail {
 std::atomic<std::uint32_t> g_arm{0};
-thread_local OpContext t_op{};
+constinit thread_local OpContext t_op{};
 
 void set_arm(std::uint32_t bit, bool on) noexcept {
   if (on)

@@ -95,13 +95,13 @@ struct OpFrame {
   PhaseTicks phase;
 };
 
-/// The per-thread record.  Constant-initialised POD: no TLS guard check on
-/// the hot path.
+/// The per-thread record.  Constant-initialised POD; constinit on the
+/// declaration lets every including TU skip the TLS init wrapper.
 struct OpContext {
   PhaseTicks phase;  ///< cumulative ticks, added to by PhaseTimer
   OpFrame op;
 };
-extern thread_local OpContext t_op;
+extern constinit thread_local OpContext t_op;
 
 }  // namespace detail
 

@@ -8,7 +8,7 @@
 // argument).  Two partition functions:
 //
 //   * kHash  — shard = mix64(key) & (N-1).  Uniform load regardless of key
-//              skew; cross-shard scans need a k-way merge (chunked, below).
+//              skew; cross-shard scans need a k-way merge (below).
 //   * kRange — shard = key / ceil(key_space/N) (or a top-bits shift when no
 //              key_space is configured).  Shards are disjoint ordered ranges,
 //              so a cross-shard scan is a plain concatenation.
@@ -43,6 +43,7 @@
 #include "core/rntree.hpp"
 #include "nvm/persist.hpp"
 #include "nvm/pool.hpp"
+#include "obs/op_scope.hpp"
 #include "shard/shard_obs.hpp"
 
 namespace rnt::shard {
@@ -58,6 +59,8 @@ class ShardedTree {
  public:
   using Tree = core::RNTree<Key, Value>;
   using Leaf = typename Tree::Leaf;
+  using Entry = typename Tree::Entry;
+  using Cursor = typename Tree::Cursor;
 
   struct Options {
     /// Shard count: a power of two in [1, PmemPool::kNumRoots].
@@ -137,16 +140,19 @@ class ShardedTree {
   // ------------------------------------------------------------------
 
   /// Visit entries with key >= @p start in ascending key order until fn
-  /// returns false.  Range partition: concatenates the (disjoint, ordered)
-  /// shard ranges.  Hash partition: chunked k-way merge of per-shard ordered
-  /// scans (each shard cursor refills kMergeChunk entries at a time and
-  /// resumes from last_key + 1).
+  /// returns false.  One op.scan event however many shards it reads.  Range
+  /// partition: concatenates the (disjoint, ordered) shard ranges.  Hash
+  /// partition: k-way merge of one leaf cursor per shard.
   template <typename Fn>
   std::size_t scan(Key start, Fn&& fn) const {
     if (shards_.size() == 1) return shards_[0]->scan(start, std::forward<Fn>(fn));
     detail::count_cross_shard_scan();
-    if (opt_.partition == Partition::kRange) return scan_range(start, fn);
-    return scan_merge(start, fn);
+    obs::OpScope op(obs::OpKind::kScan, start);
+    const std::size_t visited = opt_.partition == Partition::kRange
+                                    ? scan_range(start, fn)
+                                    : scan_merge(start, fn);
+    op.finish(visited > 0);
+    return visited;
   }
 
   /// Collect up to @p n entries starting at @p start.
@@ -293,8 +299,6 @@ class ShardedTree {
   }
 
  private:
-  static constexpr std::size_t kMergeChunk = 64;
-
   static int log2_pow2(int v) noexcept {
     int lg = 0;
     while ((1 << lg) < v) ++lg;
@@ -326,60 +330,44 @@ class ShardedTree {
   template <typename Fn>
   std::size_t scan_range(Key start, Fn& fn) const {
     std::size_t visited = 0;
-    bool stop = false;
     const int first = shard_of(start);
-    for (int s = first; s < opt_.shards && !stop; ++s) {
-      const Key from = s == first ? start : Key{0};
-      visited += shards_[static_cast<std::size_t>(s)]->scan(from, [&](Key k, Value v) {
-        const bool cont = fn(k, v);
-        stop = !cont;
-        return cont;
-      });
+    for (int s = first; s < opt_.shards; ++s) {
+      Cursor c(*shards_[static_cast<std::size_t>(s)], s == first ? start : Key{0});
+      if (!c.drain(fn, visited)) break;
     }
     return visited;
   }
 
+  /// Each shard's cursor holds one leaf's entries at a time; the merge
+  /// reads a shard's next leaf only once it has consumed the current one.
+  /// All cursors open before any reads, so the shards' first-leaf fetches
+  /// overlap.
   template <typename Fn>
   std::size_t scan_merge(Key start, Fn& fn) const {
-    struct Cursor {
-      std::vector<std::pair<Key, Value>> buf;
-      std::size_t pos = 0;
-      bool exhausted = false;  // nothing in the shard beyond buf
+    struct Source {
+      Source(const Tree& t, Key from) : c(t, from) {}
+      Cursor c;
+      Entry buf[Leaf::kLogCap];
+      int n = 0, pos = 0;
     };
-    const std::size_t n = shards_.size();
-    std::vector<Cursor> cur(n);
-    auto refill = [&](std::size_t s, Key from) {
-      Cursor& c = cur[s];
-      c.pos = 0;
-      const std::size_t got = shards_[s]->scan_n(from, kMergeChunk, c.buf);
-      // A partial chunk proves the shard has nothing beyond buf *at refill
-      // time*; like RNTree::scan across leaves, the cross-shard scan is not
-      // atomic against concurrent inserts behind the cursor.
-      if (got < kMergeChunk) c.exhausted = true;
-    };
-    for (std::size_t s = 0; s < n; ++s) refill(s, start);
+    std::vector<Source> src;
+    src.reserve(shards_.size());
+    for (const auto& t : shards_) src.emplace_back(*t, start);
+    for (Source& sc : src) sc.n = sc.c.next(sc.buf);
     std::size_t visited = 0;
     for (;;) {
-      std::size_t best = n;
-      for (std::size_t s = 0; s < n; ++s) {
-        Cursor& c = cur[s];
-        if (c.pos == c.buf.size()) {
-          if (c.exhausted) continue;
-          const Key last = c.buf.back().first;  // full chunk => non-empty
-          if (last == std::numeric_limits<Key>::max()) {
-            c.exhausted = true;
-            continue;
-          }
-          refill(s, last + 1);
-          if (c.pos == c.buf.size()) continue;  // refill came back empty
-        }
-        if (best == n || c.buf[c.pos].first < cur[best].buf[cur[best].pos].first)
-          best = s;
-      }
-      if (best == n) break;
-      const auto& e = cur[best].buf[cur[best].pos++];
+      Source* best = nullptr;
+      for (Source& sc : src)
+        if (sc.pos < sc.n && (best == nullptr || sc.buf[sc.pos].key < best->buf[best->pos].key))
+          best = &sc;
+      if (best == nullptr) break;
+      const Entry& e = best->buf[best->pos++];
       ++visited;
-      if (!fn(e.first, e.second)) break;
+      if (!fn(e.key, e.value)) break;
+      if (best->pos == best->n) {
+        best->n = best->c.next(best->buf);
+        best->pos = 0;
+      }
     }
     return visited;
   }

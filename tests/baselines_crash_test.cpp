@@ -103,7 +103,9 @@ bool run_one(const std::vector<OpRec>& ops, std::uint64_t crash_at,
           << "key " << k << " @" << crash_at;
     } else {
       EXPECT_TRUE(res.has_value()) << "lost acked key " << k << " @" << crash_at;
-      if (res) EXPECT_EQ(*res, v) << "key " << k << " @" << crash_at;
+      if (res) {
+        EXPECT_EQ(*res, v) << "key " << k << " @" << crash_at;
+      }
     }
   }
   // An in-flight insert may at most add its own key; nothing else new.

@@ -178,7 +178,9 @@ TYPED_TEST(BaselineTest, RandomizedAgainstStdMap) {
         auto res = this->tree_->find(k);
         auto it = oracle.find(k);
         ASSERT_EQ(res.has_value(), it != oracle.end()) << k;
-        if (res) ASSERT_EQ(*res, it->second);
+        if (res) {
+          ASSERT_EQ(*res, it->second);
+        }
       }
     }
   }
@@ -193,7 +195,9 @@ TYPED_TEST(BaselineTest, ScanSortedAcrossLeaves) {
   bool first = true;
   std::size_t count = 0;
   this->tree_->scan(0, [&](std::uint64_t k, std::uint64_t) {
-    if (!first) EXPECT_GT(k, prev);
+    if (!first) {
+      EXPECT_GT(k, prev);
+    }
     first = false;
     prev = k;
     ++count;

@@ -131,8 +131,10 @@ TEST_F(HeatmapTest, ScriptedAbortsAttributeToOpTargetBucket) {
   EXPECT_GE(count_at(want, kConflictIdx), 2u);
   EXPECT_GE(count_at(want, kOpIdx), 1u);
   for (const HeatBucket& b : snap.buckets)
-    if (b.id != want) EXPECT_EQ(b.counts[kConflictIdx], 0u)
-        << "conflict leaked into bucket " << b.id;
+    if (b.id != want) {
+      EXPECT_EQ(b.counts[kConflictIdx], 0u)
+          << "conflict leaked into bucket " << b.id;
+    }
   EXPECT_EQ(snap.totals[kConflictIdx], count_at(want, kConflictIdx));
 }
 

@@ -250,7 +250,9 @@ TEST_F(PoolTest, ThreadCachesGiveDisjointBlocksAcrossThreads) {
     EXPECT_NE(spans[i].first, 0u);
     EXPECT_EQ(spans[i].first % kCacheLineSize, 0u);
     EXPECT_GE(spans[i].first, PmemPool::data_begin());
-    if (i > 0) EXPECT_GE(spans[i].first, spans[i - 1].second) << "overlap at " << i;
+    if (i > 0) {
+      EXPECT_GE(spans[i].first, spans[i - 1].second) << "overlap at " << i;
+    }
   }
 }
 

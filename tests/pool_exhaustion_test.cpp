@@ -176,9 +176,10 @@ TYPED_TEST(PoolExhaustionT, FullTreeStaysReadableAndUpdatable) {
       ++removed;
     }
   }
-  if (std::string(TypeParam::kName) != "nvtree")
+  if (std::string(TypeParam::kName) != "nvtree") {
     EXPECT_EQ(removed, 16u) << TypeParam::kName
                             << ": allocation-free removes failed on a full tree";
+  }
   expect_intact<TypeParam>(*tree, pool, m, "after removes on a full tree");
 }
 

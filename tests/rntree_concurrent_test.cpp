@@ -186,7 +186,9 @@ TEST_P(RNTreeConcurrentTest, MixedWorkloadAgainstShardedOracle) {
             auto res = tree_->find(k);
             auto it = oracle.find(k);
             ASSERT_EQ(res.has_value(), it != oracle.end());
-            if (res) ASSERT_EQ(*res, it->second);
+            if (res) {
+              ASSERT_EQ(*res, it->second);
+            }
           }
         }
       }

@@ -147,7 +147,9 @@ TEST_P(RNTreeTest, RandomizedAgainstStdMap) {
         auto res = tree_->find(k);
         auto it = oracle.find(k);
         ASSERT_EQ(res.has_value(), it != oracle.end()) << "find " << k;
-        if (res) ASSERT_EQ(*res, it->second) << "find " << k;
+        if (res) {
+          ASSERT_EQ(*res, it->second) << "find " << k;
+        }
       }
     }
   }
@@ -186,7 +188,9 @@ TEST_P(RNTreeTest, ScanAcrossManyLeaves) {
   bool first = true;
   tree_->scan(0, [&](std::uint64_t k, std::uint64_t v) {
     EXPECT_EQ(v, k + 1);
-    if (!first) EXPECT_EQ(k, prev + 1);
+    if (!first) {
+      EXPECT_EQ(k, prev + 1);
+    }
     first = false;
     prev = k;
     ++count;

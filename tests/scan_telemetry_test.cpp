@@ -11,6 +11,9 @@
 // instrumented numbers against nothing.  Every baseline op must now record
 // exactly one op.<kind> event (upsert composites included) with a latency
 // sample.
+//
+// A ShardedTree scan is one op too: 4-shard scans, hash-merged and
+// range-concatenated, must pass the same count and heat checks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,11 +29,15 @@
 #include "obs/heatmap.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
+#include "shard/sharded_tree.hpp"
 
 namespace rnt {
 namespace {
 
 using Tree = core::RNTree<std::uint64_t, std::uint64_t>;
+using Sharded = shard::ShardedTree<std::uint64_t, std::uint64_t>;
+constexpr shard::Partition kPartitions[] = {shard::Partition::kHash,
+                                            shard::Partition::kRange};
 
 obs::HistogramSummary hist_of(const obs::Snapshot& snap, std::string_view name) {
   for (const auto& [n, h] : snap.histograms)
@@ -55,12 +62,9 @@ class ScanTelemetryTest : public ::testing::Test {
   nvm::NvmConfig saved_;
 };
 
-TEST_F(ScanTelemetryTest, OneOpScanEventPerScan) {
-  nvm::PmemPool pool(std::size_t{16} << 20);
-  Tree tree(pool);
-  for (std::uint64_t i = 0; i < 3000; ++i)
-    ASSERT_TRUE(tree.insert(i * 3, i));
-
+// Five 200-entry scans over keys 0, 3, ..., 8997.
+template <typename T>
+void expect_one_event_per_scan(const T& tree) {
   const obs::Snapshot before = obs::snapshot();
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
   constexpr std::uint64_t kScans = 5;
@@ -74,6 +78,26 @@ TEST_F(ScanTelemetryTest, OneOpScanEventPerScan) {
   EXPECT_EQ(h1.count - h0.count, kScans);
   // A 200-key walk takes real time; the latency samples cannot all be zero.
   EXPECT_GT(h1.sum, h0.sum);
+}
+
+TEST_F(ScanTelemetryTest, OneOpScanEventPerScan) {
+  {
+    nvm::PmemPool pool(std::size_t{16} << 20);
+    Tree tree(pool);
+    for (std::uint64_t i = 0; i < 3000; ++i)
+      ASSERT_TRUE(tree.insert(i * 3, i));
+    expect_one_event_per_scan(tree);
+  }
+  // Hash scans read every shard; range shards split at 2250, so the scan
+  // from 1800 crosses a boundary.
+  for (const shard::Partition p : kPartitions) {
+    SCOPED_TRACE(p == shard::Partition::kHash ? "hash" : "range");
+    nvm::PmemPool pool(std::size_t{32} << 20);
+    Sharded tree(pool, {.shards = 4, .partition = p, .key_space = 9000});
+    for (std::uint64_t i = 0; i < 3000; ++i)
+      ASSERT_TRUE(tree.insert(i * 3, i));
+    expect_one_event_per_scan(tree);
+  }
 }
 
 TEST_F(ScanTelemetryTest, EmptyScanStillCountsAsMiss) {
@@ -93,6 +117,19 @@ TEST_F(ScanTelemetryTest, EmptyScanStillCountsAsMiss) {
 // A full-range scan must heat the buckets of every leaf it visits — one kOp
 // record per visited leaf beyond the first — so heatmaps show the range a
 // scan-heavy workload actually touches.
+// Number of heatmap buckets a scan of @p n entries from key 0 heats.
+template <typename T>
+int heated_by_full_scan(const T& tree, std::uint64_t n) {
+  obs::heatmap_reset();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  EXPECT_EQ(tree.scan_n(0, n, out), n);
+  constexpr int kOpIdx = static_cast<int>(obs::HeatCause::kOp);
+  int heated = 0;
+  for (const obs::HeatBucket& b : obs::heatmap_snapshot().buckets)
+    if (b.counts[kOpIdx] > 0) ++heated;
+  return heated;
+}
+
 TEST_F(ScanTelemetryTest, ScanHeatsTheVisitedRange) {
   constexpr std::uint64_t kSpace = 8192;
   ASSERT_TRUE(obs::heatmap_configure({.buckets = 64,
@@ -101,22 +138,24 @@ TEST_F(ScanTelemetryTest, ScanHeatsTheVisitedRange) {
                                       .decay_half_life_s = 0.0}));
   obs::set_heatmap_enabled(true);
 
-  nvm::PmemPool pool(std::size_t{16} << 20);
-  Tree tree(pool);
-  for (std::uint64_t k = 0; k < kSpace; ++k) ASSERT_TRUE(tree.insert(k, k));
-
-  obs::heatmap_reset();
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  ASSERT_EQ(tree.scan_n(0, kSpace, out), kSpace);
-
-  const obs::HeatmapSnapshot snap = obs::heatmap_snapshot();
-  constexpr int kOpIdx = static_cast<int>(obs::HeatCause::kOp);
-  int heated = 0;
-  for (const obs::HeatBucket& b : snap.buckets)
-    if (b.counts[kOpIdx] > 0) ++heated;
   // 8192 dense keys span > 100 leaves; with 64 buckets over the key space
   // the visited range heats most of the table, not just bucket 0.
-  EXPECT_GE(heated, 32) << "scan heat stuck at its start bucket";
+  {
+    nvm::PmemPool pool(std::size_t{16} << 20);
+    Tree tree(pool);
+    for (std::uint64_t k = 0; k < kSpace; ++k) ASSERT_TRUE(tree.insert(k, k));
+    EXPECT_GE(heated_by_full_scan(tree, kSpace), 32)
+        << "scan heat stuck at its start bucket";
+  }
+  // Across shards every shard cursor heats the leaves it reads.
+  for (const shard::Partition p : kPartitions) {
+    SCOPED_TRACE(p == shard::Partition::kHash ? "hash" : "range");
+    nvm::PmemPool pool(std::size_t{32} << 20);
+    Sharded tree(pool, {.shards = 4, .partition = p, .key_space = kSpace});
+    for (std::uint64_t k = 0; k < kSpace; ++k) ASSERT_TRUE(tree.insert(k, k));
+    EXPECT_GE(heated_by_full_scan(tree, kSpace), 32)
+        << "cross-shard scan heat stuck at its start bucket";
+  }
 
   obs::set_heatmap_enabled(false);
   obs::heatmap_reset();

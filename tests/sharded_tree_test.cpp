@@ -2,7 +2,8 @@
 // ordered scans (range concatenation and hash k-way merge), group-persistency
 // fence accounting (the exact K + 1 fences-per-batch contract), clean and
 // crash recovery of the multi-root pool, a crash-point sweep over a batched
-// flush, and a scan-vs-split race across a shard boundary.
+// flush, scan-vs-split races for both partitions, and the hash merge's edge
+// cases against a std::map oracle.
 #include "shard/sharded_tree.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -114,7 +116,7 @@ TEST_F(ShardedTreeTest, HashPartitionScanMergesInOrder) {
     ASSERT_EQ(got[i].second, it->second) << "rank " << i;
   }
 
-  // Mid-stream start + early stop exercise the per-shard cursor refill path.
+  // Mid-stream start + early stop exercise the per-shard leaf cursors.
   const std::uint64_t mid = std::next(oracle.begin(), 1000)->first;
   tree.scan_n(mid, 200, got);
   ASSERT_EQ(got.size(), 200u);
@@ -331,11 +333,13 @@ TEST_F(ShardedTreeTest, CrashSweepOverBatchedFlush) {
 // strictly increasing — including across shard boundaries.
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedTreeTest, ScanVsSplitAcrossShardBoundary) {
+// A writer splits leaves in every shard while scans run; every scan must
+// still return each stable key exactly once, in order.  The callback yields
+// now and then so the shard cursors hold their leaves across writer splits.
+void race_scans_against_splits(Partition partition) {
   constexpr std::uint64_t kSpace = 4096;
   nvm::PmemPool pool(std::size_t{64} << 20);
-  SH tree(pool,
-          {.shards = 4, .partition = Partition::kRange, .key_space = kSpace});
+  SH tree(pool, {.shards = 4, .partition = partition, .key_space = kSpace});
 
   // Stable even keys, present before the race starts.
   for (std::uint64_t k = 0; k < kSpace; k += 2) ASSERT_TRUE(tree.insert(k, k));
@@ -356,7 +360,12 @@ TEST_F(ShardedTreeTest, ScanVsSplitAcrossShardBoundary) {
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
   do {
-    tree.scan_n(0, kSpace + 8, got);
+    got.clear();
+    tree.scan(0, [&](std::uint64_t k, std::uint64_t v) {
+      got.emplace_back(k, v);
+      if (got.size() % 97 == 0) std::this_thread::yield();
+      return true;
+    });
     std::size_t evens = 0;
     for (std::size_t i = 0; i < got.size(); ++i) {
       if (i > 0) {
@@ -379,6 +388,94 @@ TEST_F(ShardedTreeTest, ScanVsSplitAcrossShardBoundary) {
     ASSERT_EQ(got[k].first, k);
     ASSERT_EQ(got[k].second, k);
   }
+  tree.check_invariants();
+}
+
+TEST_F(ShardedTreeTest, ScanVsSplitAcrossShardBoundary) {
+  race_scans_against_splits(Partition::kRange);
+}
+
+TEST_F(ShardedTreeTest, HashMergeScanVsSplit) {
+  race_scans_against_splits(Partition::kHash);
+}
+
+// The hash merge against a std::map oracle at its edges: a start at or past
+// the last key, a shard emptied by removes (its cursor must skip every empty
+// leaf), and early stops after one entry and exactly at a leaf end.
+TEST_F(ShardedTreeTest, HashMergeEdgeCasesMatchOracle) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  nvm::PmemPool pool(std::size_t{32} << 20);
+  SH tree(pool, {.shards = 4, .partition = Partition::kHash});
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  for (std::uint64_t i = 0; i < 8000; ++i) {
+    const std::uint64_t k = i * 5 + 3;
+    ASSERT_TRUE(tree.insert(k, k + 1));
+    oracle[k] = k + 1;
+  }
+  ASSERT_TRUE(tree.insert(kMax, 7));
+  oracle[kMax] = 7;
+
+  // Scans from @p start against the oracle; stops after @p limit entries.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
+  auto expect_matches = [&](std::uint64_t start, std::size_t limit) {
+    tree.scan_n(start, limit, got);
+    auto it = oracle.lower_bound(start);
+    std::size_t want = 0;
+    for (auto w = it; w != oracle.end() && want < limit; ++w) ++want;
+    ASSERT_EQ(got.size(), want) << "start " << start << " limit " << limit;
+    for (std::size_t i = 0; i < got.size(); ++i, ++it) {
+      ASSERT_EQ(got[i].first, it->first) << "start " << start << " rank " << i;
+      ASSERT_EQ(got[i].second, it->second) << "start " << start << " rank " << i;
+    }
+  };
+
+  expect_matches(kMax, 10);  // only the last key; no wrap past UINT64_MAX
+  expect_matches(kMax - 1, 10);
+  ASSERT_TRUE(tree.remove(kMax));
+  oracle.erase(kMax);
+  expect_matches(kMax, 10);       // nothing at or beyond the start
+  expect_matches(50'000, 10);     // start beyond every key
+  expect_matches(0, 1);           // early stop after one entry
+  expect_matches(1234, 1);
+
+  // Empty shard 2: its ~2000 keys span many leaves, none of them merge
+  // away, so its cursor walks a chain of empty leaves.
+  std::vector<std::uint64_t> victims;
+  tree.shard(2).scan(0, [&](std::uint64_t k, std::uint64_t) {
+    victims.push_back(k);
+    return true;
+  });
+  ASSERT_GT(victims.size(), 2 * std::size_t{SH::Leaf::kLogCap});
+  for (const std::uint64_t k : victims) {
+    ASSERT_TRUE(tree.remove(k));
+    oracle.erase(k);
+  }
+  EXPECT_GT(tree.shard(2).leaf_count(), 2u);
+  EXPECT_EQ(tree.shard(2).size(), 0u);
+  expect_matches(0, oracle.size() + 8);
+  expect_matches(20'000, 300);
+
+  // Early stop exactly at a leaf end: the last entry shard 1's cursor reads
+  // from its first leaf is where the scan stops.
+  SH::Entry buf[SH::Leaf::kLogCap];
+  int n = 0;
+  {
+    SH::Cursor c(tree.shard(1), 10'000);
+    n = c.next(buf);
+  }
+  ASSERT_GT(n, 0);
+  const std::uint64_t leaf_end = buf[n - 1].key;
+  std::size_t want = 0;
+  for (auto it = oracle.lower_bound(10'000); it->first <= leaf_end; ++it) ++want;
+  std::size_t seen = 0;
+  const std::size_t visited = tree.scan(10'000, [&](std::uint64_t k, std::uint64_t) {
+    ++seen;
+    return k != leaf_end;
+  });
+  EXPECT_EQ(visited, want);
+  EXPECT_EQ(seen, want);
+  expect_matches(10'000, want);
+  expect_matches(leaf_end + 1, 200);  // resuming past the stop loses nothing
   tree.check_invariants();
 }
 
