@@ -27,8 +27,6 @@
 //                      (power of two in [2, 4096]); aborts/fallbacks are
 //                      attributed by key range and exported under "heatmap"
 //                      in the JSON dump (src/obs/heatmap.hpp)
-//   --heatmap-mode=M   heatmap bucketing: "key" (default, key-range buckets)
-//                      or "leaf" (hash of the op's resolved leaf address)
 //   --shards=N         shard count for the sharded panels (power of two in
 //                      [1, 16]); benches without a sharded mode ignore it
 //   --batch=K          group-persistency batch size: modifies per trailing
@@ -66,15 +64,6 @@
 
 namespace rnt::bench {
 
-/// --stripes=N bounds: the DES's per-shard fallback-lock stripes
-/// (sim::SimConfig::fallback_stripes) are a power of two in this range.
-inline constexpr std::uint32_t kMinStripes = 1;
-inline constexpr std::uint32_t kMaxStripes = 4096;
-
-inline bool stripes_valid(std::uint32_t n) noexcept {
-  return n >= kMinStripes && n <= kMaxStripes && (n & (n - 1)) == 0;
-}
-
 struct BenchOptions {
   std::uint64_t warm = 200'000;
   /// Request-distribution key space for the simulated contention figures
@@ -95,16 +84,12 @@ struct BenchOptions {
   std::uint32_t sample_ms = 0;   ///< --sample-ms=N sampler interval (0 = off)
   std::string perfetto{};        ///< --perfetto=FILE ("" = no timeline export)
   std::uint32_t heatmap_buckets = 0;  ///< --heatmap-buckets=N (0 = heatmap off)
-  bool heatmap_by_leaf = false;  ///< --heatmap-mode=leaf
   /// --shards=N shard count for the sharded panels/segments (power of two in
   /// [1, PmemPool::kNumRoots]); 1 = unsharded.
   std::uint32_t shards = 1;
   /// --batch=K group-persistency batch size (modifies per trailing fence);
   /// 1 = eager persists (the paper's Table-1 profile).
   std::uint32_t batch = 1;
-  /// --stripes=N simulated fallback-lock stripes for benches with a DES
-  /// striping panel (power of two in [1, 4096]); 0 = bench default.
-  std::uint32_t stripes = 0;
   /// --recovery-workers=N parallel-recovery workers for the fig7 panels;
   /// 0 = tree default (auto).
   std::uint32_t recovery_workers = 0;
@@ -124,13 +109,11 @@ struct BenchOptions {
                  "  --perfetto=FILE    write chrome://tracing timeline JSON to FILE\n"
                  "  --heatmap-buckets=N  contention heatmap with N key-range buckets\n"
                  "                     (power of two, %u-%u); JSON \"heatmap\" section\n"
-                 "  --heatmap-mode=M   heatmap bucketing: key (default) or leaf\n"
                  "  --shards=N         shard count (power of two, 1-%d)\n"
                  "  --batch=K          group-persistency batch size (modifies per fence)\n"
-                 "  --stripes=N        simulated fallback-lock stripes (power of two, %u-%u)\n"
                  "  --recovery-workers=N  parallel-recovery workers (fig7 panels)\n",
                  argv0, obs::kHeatmapMinBuckets, obs::kHeatmapMaxBuckets,
-                 nvm::PmemPool::kNumRoots, kMinStripes, kMaxStripes);
+                 nvm::PmemPool::kNumRoots);
   }
 
   /// Strict positive-integer flag value: the whole string must be digits and
@@ -211,33 +194,11 @@ struct BenchOptions {
           usage(argv[0]);
           std::exit(2);
         }
-      } else if (const char* v = val("--stripes=")) {
-        if (!parse_positive_u32(v, &o.stripes) ||
-            !stripes_valid(o.stripes)) {
-          std::fprintf(stderr,
-                       "%s: --stripes wants a power of two in [%u, %u], "
-                       "got '%s'\n",
-                       argv[0], kMinStripes, kMaxStripes, v);
-          usage(argv[0]);
-          std::exit(2);
-        }
       } else if (const char* v = val("--recovery-workers=")) {
         if (!parse_positive_u32(v, &o.recovery_workers)) {
           std::fprintf(stderr,
                        "%s: --recovery-workers wants a positive integer, "
                        "got '%s'\n",
-                       argv[0], v);
-          usage(argv[0]);
-          std::exit(2);
-        }
-      } else if (const char* v = val("--heatmap-mode=")) {
-        if (std::strcmp(v, "leaf") == 0) {
-          o.heatmap_by_leaf = true;
-        } else if (std::strcmp(v, "key") == 0) {
-          o.heatmap_by_leaf = false;
-        } else {
-          std::fprintf(stderr,
-                       "%s: --heatmap-mode wants 'key' or 'leaf', got '%s'\n",
                        argv[0], v);
           usage(argv[0]);
           std::exit(2);
@@ -260,10 +221,7 @@ struct BenchOptions {
     if (o.heatmap_buckets != 0) {
       // Benches that know their key space (fig 8-10) reconfigure with it
       // before the run; this default covers the full 64-bit key domain.
-      obs::heatmap_configure({.buckets = o.heatmap_buckets,
-                              .by_leaf = o.heatmap_by_leaf,
-                              .key_space = 0,
-                              .decay_half_life_s = 0.0});
+      obs::heatmap_configure({.buckets = o.heatmap_buckets, .key_space = 0});
       obs::set_heatmap_enabled(true);
     }
     return o;
@@ -304,14 +262,10 @@ inline void export_stats(const BenchOptions& o, const std::string& bench_name,
       {"paper", o.paper ? "true" : "false", true},
   };
   meta.insert(meta.end(), bench_meta.begin(), bench_meta.end());
-  if (o.heatmap_buckets != 0) {
+  if (o.heatmap_buckets != 0)
     meta.push_back({"heatmap_buckets", std::to_string(o.heatmap_buckets), true});
-    meta.push_back({"heatmap_mode", o.heatmap_by_leaf ? "leaf" : "key", false});
-  }
   if (o.shards != 1) meta.push_back({"shards", std::to_string(o.shards), true});
   if (o.batch != 1) meta.push_back({"batch", std::to_string(o.batch), true});
-  if (o.stripes != 0)
-    meta.push_back({"stripes", std::to_string(o.stripes), true});
   if (o.recovery_workers != 0)
     meta.push_back(
         {"recovery_workers", std::to_string(o.recovery_workers), true});

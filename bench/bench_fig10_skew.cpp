@@ -18,10 +18,8 @@ int main(int argc, char** argv) {
   // "heatmap_expected_bucket" ranks first by conflict-abort count.
   std::uint64_t inject_key = 0;
   if (opt.heatmap_buckets != 0) {
-    rnt::obs::heatmap_configure({.buckets = opt.heatmap_buckets,
-                                 .by_leaf = opt.heatmap_by_leaf,
-                                 .key_space = keys,
-                                 .decay_half_life_s = 0.0});
+    rnt::obs::heatmap_configure(
+        {.buckets = opt.heatmap_buckets, .key_space = keys});
     inject_key = rnt::mix64(0) % keys;  // ScrambledZipfian's hottest item
   }
 

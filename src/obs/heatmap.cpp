@@ -3,33 +3,21 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <mutex>
 
-#include "obs/metrics.hpp"  // detail::cell_load/cell_store/cell_add
+#include "obs/metrics.hpp"  // detail::cell_load/cell_add
 
 namespace rnt::obs {
 
 namespace {
 
-// splitmix64 finalizer — same mixer the workload generators use; here it
-// spreads leaf pool offsets (which share low-bit alignment) across buckets.
-std::uint64_t heat_mix(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 // Bucketing parameters, readable lock-free on the record path.  Mutated only
 // by heatmap_configure(), whose contract requires recorder quiescence.
 std::atomic<std::uint32_t> g_buckets{64};
 std::atomic<std::uint32_t> g_shift{58};  // 64 - log2(64)
-std::atomic<bool> g_by_leaf{false};
 std::atomic<std::uint64_t> g_key_space{0};
-std::atomic<double> g_half_life_s{0.0};
 
 std::uint32_t shift_for(std::uint64_t key_space, std::uint32_t buckets) {
   const int space_bits =
@@ -59,7 +47,6 @@ struct HeatRegistry {
   std::vector<HeatSlab*> slabs;
   std::vector<std::uint64_t> retired;  // folded from exited threads
   std::deque<TrackSample> samples;
-  std::uint64_t last_tick_ns = 0;
 };
 
 // Leaked singleton, same rationale as the metrics registry: exiting threads
@@ -116,28 +103,9 @@ std::uint64_t bucket_score(const std::uint64_t* c) noexcept {
          c[static_cast<int>(HeatCause::kLockWait)];
 }
 
-// Caller holds r.mu.
-void decay_locked(HeatRegistry& r, double factor) {
-  auto scale = [factor](std::uint64_t& cell) {
-    const std::uint64_t v = detail::cell_load(cell);
-    if (v)
-      detail::cell_store(
-          cell, static_cast<std::uint64_t>(static_cast<double>(v) * factor));
-  };
-  for (HeatSlab* s : r.slabs)
-    for (std::uint64_t& c : s->cells) scale(c);
-  for (std::uint64_t& c : r.retired) scale(c);
-}
-
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
   out += buf;
 }
 
@@ -159,11 +127,6 @@ void heat_set_target(std::uint64_t key) noexcept {
   const std::uint32_t b = heatmap_bucket_of(key);
   t_op.op.heat_bucket = b;
   heat_add(b, HeatCause::kOp);
-}
-
-void heat_set_leaf(std::uint64_t leaf_off) noexcept {
-  if (g_by_leaf.load(std::memory_order_relaxed))
-    t_op.op.heat_bucket = heatmap_bucket_of_leaf(leaf_off);
 }
 
 }  // namespace detail
@@ -197,22 +160,17 @@ bool heatmap_configure(const HeatmapConfig& cfg) {
   g_buckets.store(cfg.buckets, std::memory_order_relaxed);
   g_shift.store(shift_for(cfg.key_space, cfg.buckets),
                 std::memory_order_relaxed);
-  g_by_leaf.store(cfg.by_leaf, std::memory_order_relaxed);
   g_key_space.store(cfg.key_space, std::memory_order_relaxed);
-  g_half_life_s.store(cfg.decay_half_life_s, std::memory_order_relaxed);
   r.retired.assign(cell_count(), 0);
   for (HeatSlab* s : r.slabs) s->cells.assign(cell_count(), 0);
   r.samples.clear();
-  r.last_tick_ns = 0;
   return true;
 }
 
 HeatmapConfig heatmap_config() {
   HeatmapConfig cfg;
   cfg.buckets = g_buckets.load(std::memory_order_relaxed);
-  cfg.by_leaf = g_by_leaf.load(std::memory_order_relaxed);
   cfg.key_space = g_key_space.load(std::memory_order_relaxed);
-  cfg.decay_half_life_s = g_half_life_s.load(std::memory_order_relaxed);
   return cfg;
 }
 
@@ -222,30 +180,10 @@ std::uint32_t heatmap_bucket_of(std::uint64_t key) noexcept {
   return static_cast<std::uint32_t>(key >> shift) & mask;
 }
 
-std::uint32_t heatmap_bucket_of_leaf(std::uint64_t leaf_off) noexcept {
-  const std::uint32_t mask = g_buckets.load(std::memory_order_relaxed) - 1;
-  return static_cast<std::uint32_t>(heat_mix(leaf_off)) & mask;
-}
-
-void heatmap_decay(double factor) {
-  if (factor < 0.0) factor = 0.0;
-  if (factor >= 1.0) return;
-  HeatRegistry& r = heat_reg();
-  std::lock_guard lk(r.mu);
-  decay_locked(r, factor);
-}
-
 void heatmap_tick(std::uint64_t now_ns) {
   if (!heatmap_enabled()) return;
   HeatRegistry& r = heat_reg();
   std::lock_guard lk(r.mu);
-  const double hl = g_half_life_s.load(std::memory_order_relaxed);
-  if (hl > 0.0 && r.last_tick_ns != 0 && now_ns > r.last_tick_ns) {
-    const double dt_s =
-        static_cast<double>(now_ns - r.last_tick_ns) / 1e9;
-    decay_locked(r, std::exp2(-dt_s / hl));
-  }
-  r.last_tick_ns = now_ns;
   const std::uint32_t buckets = g_buckets.load(std::memory_order_relaxed);
   if (buckets > kMaxTrackBuckets) return;
   const std::vector<std::uint64_t> sum = aggregate_locked(r);
@@ -265,7 +203,6 @@ void heatmap_reset() {
   r.retired.assign(cell_count(), 0);
   for (HeatSlab* s : r.slabs) s->cells.assign(cell_count(), 0);
   r.samples.clear();
-  r.last_tick_ns = 0;
 }
 
 HeatmapSnapshot heatmap_snapshot() {
@@ -276,7 +213,6 @@ HeatmapSnapshot heatmap_snapshot() {
   const std::vector<std::uint64_t> sum = aggregate_locked(r);
   const std::uint32_t buckets = g_buckets.load(std::memory_order_relaxed);
   const std::uint32_t shift = g_shift.load(std::memory_order_relaxed);
-  const bool by_leaf = g_by_leaf.load(std::memory_order_relaxed);
   for (std::uint32_t b = 0; b < buckets; ++b) {
     const std::uint64_t* c = &sum[static_cast<std::size_t>(b) *
                                   kHeatCauseCount];
@@ -285,10 +221,8 @@ HeatmapSnapshot heatmap_snapshot() {
     if (!any) continue;
     HeatBucket hb;
     hb.id = b;
-    if (!by_leaf && shift < 64) {
-      hb.lo = static_cast<std::uint64_t>(b) << shift;
-      hb.hi = hb.lo + ((1ull << shift) - 1);
-    }
+    hb.lo = static_cast<std::uint64_t>(b) << shift;
+    hb.hi = hb.lo + ((1ull << shift) - 1);
     for (int i = 0; i < kHeatCauseCount; ++i) {
       hb.counts[i] = c[i];
       out.totals[i] += c[i];
@@ -313,12 +247,8 @@ std::string heatmap_json() {
   std::string out;
   out += "{\n    \"buckets\": ";
   append_u64(out, snap.cfg.buckets);
-  out += ",\n    \"mode\": \"";
-  out += snap.cfg.by_leaf ? "leaf" : "key";
-  out += "\",\n    \"key_space\": ";
+  out += ",\n    \"key_space\": ";
   append_u64(out, snap.cfg.key_space);
-  out += ",\n    \"decay_half_life_s\": ";
-  append_double(out, snap.cfg.decay_half_life_s);
   out += ",\n    \"events\": {";
   for (int i = 0; i < kHeatCauseCount; ++i) {
     if (i) out += ",";
@@ -335,12 +265,10 @@ std::string heatmap_json() {
     if (i) out += ",";
     out += "\n      {\"bucket\": ";
     append_u64(out, hb.id);
-    if (!snap.cfg.by_leaf) {
-      out += ", \"lo\": ";
-      append_u64(out, hb.lo);
-      out += ", \"hi\": ";
-      append_u64(out, hb.hi);
-    }
+    out += ", \"lo\": ";
+    append_u64(out, hb.lo);
+    out += ", \"hi\": ";
+    append_u64(out, hb.hi);
     out += ", \"score\": ";
     append_u64(out, hb.score);
     for (int c = 0; c < kHeatCauseCount; ++c) {
@@ -362,12 +290,9 @@ std::vector<HeatTrack> heatmap_tracks(std::size_t top_k) {
   std::lock_guard lk(r.mu);
   if (r.samples.empty()) return out;
   const std::uint32_t buckets = g_buckets.load(std::memory_order_relaxed);
-  // Rank buckets by their peak score over the retained samples so a bucket
-  // that was hot early (then decayed) still gets a track.
-  std::vector<std::uint64_t> peak(buckets, 0);
-  for (const TrackSample& s : r.samples)
-    for (std::uint32_t b = 0; b < s.scores.size() && b < buckets; ++b)
-      peak[b] = std::max(peak[b], s.scores[b]);
+  // Counts are cumulative, so the latest sample holds each bucket's peak.
+  std::vector<std::uint64_t> peak = r.samples.back().scores;
+  peak.resize(buckets, 0);
   std::vector<std::uint32_t> ids(buckets);
   for (std::uint32_t b = 0; b < buckets; ++b) ids[b] = b;
   std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {

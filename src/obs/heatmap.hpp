@@ -13,10 +13,6 @@
 //     means the full 64-bit space (real benches use mix64-scrambled keys
 //     spanning it); the DES benches set key_space to their item count so the
 //     same table resolves their dense [0, keys) space.
-//   * Optional per-leaf-address mode (by_leaf): once the op has resolved its
-//     leaf, the bucket is re-derived from the leaf's pool offset, so
-//     attribution follows physical leaves across splits instead of key
-//     ranges.
 //   * The op's target rides in the per-thread OpContext record
 //     (obs/phase.hpp): the OpScope each tree op opens sets it from the op's
 //     key; the retry machine in htm/rtm.hpp calls heatmap_record(cause) at
@@ -26,10 +22,8 @@
 //   * Storage is thread-sharded exactly like obs/metrics: per-thread plain
 //     u64 cells (atomic_ref relaxed), a registry mutex only for aggregation,
 //     and exited threads fold their cells into retired totals.
-//   * Exponential decay: heatmap_decay(factor) scales every cell, so the
-//     ranking tracks workload shifts; the sampler applies it on its tick
-//     when decay_half_life_s is configured (0 = cumulative counts, the
-//     default, which keeps ctest assertions deterministic).
+//   * Counts are cumulative; the sampler's tick records one counter-track
+//     sample per hot bucket for the Perfetto timeline.
 //
 // Cost contract (same as obs/phase.hpp): OFF by default — every
 // instrumentation point is one relaxed load of the arm word + predicted
@@ -66,12 +60,9 @@ inline constexpr std::uint32_t kHeatmapMaxBuckets = 4096;
 
 struct HeatmapConfig {
   std::uint32_t buckets = 64;  ///< power of two in [min, max]
-  bool by_leaf = false;        ///< bucket by leaf pool offset once resolved
   /// Keyspace extent for range partitioning; 0 = full 2^64.  Rounded up to
   /// a power of two.
   std::uint64_t key_space = 0;
-  /// Half-life (seconds) for sampler-driven decay; 0 = no decay.
-  double decay_half_life_s = 0.0;
 };
 
 /// True iff @p n is an acceptable bucket count (power of two in range).
@@ -79,8 +70,8 @@ bool heatmap_valid_buckets(std::uint64_t n) noexcept;
 
 struct HeatBucket {
   std::uint32_t id = 0;
-  std::uint64_t lo = 0;  ///< inclusive key-range lower bound (key mode)
-  std::uint64_t hi = 0;  ///< inclusive key-range upper bound (key mode)
+  std::uint64_t lo = 0;  ///< inclusive key-range lower bound
+  std::uint64_t hi = 0;  ///< inclusive key-range upper bound
   std::uint64_t counts[kHeatCauseCount] = {};
   /// Contention score: everything except kOp.
   std::uint64_t score = 0;
@@ -104,8 +95,7 @@ struct HeatTrack {
 };
 
 namespace detail {
-void heat_set_target(std::uint64_t key) noexcept;     // also counts kOp
-void heat_set_leaf(std::uint64_t leaf_off) noexcept;  // by_leaf refinement
+void heat_set_target(std::uint64_t key) noexcept;  // also counts kOp
 void heat_add(std::uint32_t bucket, HeatCause c) noexcept;
 }  // namespace detail
 
@@ -128,9 +118,6 @@ HeatmapConfig heatmap_config();
 /// and benches can compute an expected bucket).
 std::uint32_t heatmap_bucket_of(std::uint64_t key) noexcept;
 
-/// Leaf-address bucket of a leaf pool offset (by_leaf mode).
-std::uint32_t heatmap_bucket_of_leaf(std::uint64_t leaf_off) noexcept;
-
 /// Record @p c against the open op's heat target (no-op when disabled or
 /// when no armed OpScope is open — an abort outside any tree op has no
 /// location).  One relaxed load + branch when disabled.
@@ -140,21 +127,13 @@ inline void heatmap_record(HeatCause c) noexcept {
   if ((f.mask & detail::kArmHeat) != 0) detail::heat_add(f.heat_bucket, c);
 }
 
-/// Record @p c against @p key's range bucket directly (DES simulator path;
-/// ignores by_leaf mode).
+/// Record @p c against @p key's range bucket directly (DES simulator path).
 inline void heatmap_record_at(std::uint64_t key, HeatCause c) noexcept {
   if (!heatmap_enabled()) return;
   detail::heat_add(heatmap_bucket_of(key), c);
 }
 
-/// Scale every cell by @p factor in [0, 1) — the decay step.  Concurrent
-/// owner-thread increments are not lost-update-safe (the owner's plain
-/// load+add+store can overwrite a rescale); the error is at most a few
-/// in-flight events.
-void heatmap_decay(double factor);
-
-/// Sampler hook: apply half-life decay for the elapsed interval (when
-/// configured) and append a counter-track sample at @p now_ns.
+/// Sampler hook: append a counter-track sample at @p now_ns.
 void heatmap_tick(std::uint64_t now_ns);
 
 /// Zero every cell and drop track samples; config and enablement stay.
@@ -166,8 +145,8 @@ HeatmapSnapshot heatmap_snapshot();
 /// totals, and the top hot buckets by score.
 std::string heatmap_json();
 
-/// Time series of the @p top_k hottest buckets (by peak score across the
-/// retained samples) for Perfetto counter tracks.
+/// Time series of the @p top_k hottest buckets (by latest score) for
+/// Perfetto counter tracks.
 std::vector<HeatTrack> heatmap_tracks(std::size_t top_k);
 
 }  // namespace rnt::obs

@@ -116,7 +116,6 @@ void OpScope::begin(OpKind kind, std::uint64_t key, std::uint32_t arm) noexcept 
 
 void OpScope::set_leaf(std::uint64_t off) noexcept {
   detail::t_op.op.leaf = off;
-  if ((mask_ & detail::kArmHeat) != 0) detail::heat_set_leaf(off);
 }
 
 void OpScope::end() noexcept {

@@ -14,7 +14,7 @@
 //     time-series sampler differences, the `lat.op.<kind>` latency
 //     histogram, and each nonzero phase share into `lat.phase.*`;
 //   * heatmap: the key's bucket is the thread's heat target while the op is
-//     open (one kOp event), refined to the leaf by leaf() in by_leaf mode.
+//     open (one kOp event).
 //
 // Scopes nest: an inner scope stashes the enclosing op's frame and restores
 // it on exit, so post-op aborts never inherit a stale heat target.  An op

@@ -66,7 +66,7 @@ struct Sampler::Impl {
     while (running) {
       lk.unlock();
       const Sample s = take_sample();  // aggregates outside our own mutex
-      heatmap_tick(s.ts_ns);  // decay + counter-track sample, same cadence
+      heatmap_tick(s.ts_ns);  // counter-track sample, same cadence
       lk.lock();
       if (!running) break;  // stop() raced: it takes the final sample itself
       push_locked(s);

@@ -63,20 +63,16 @@ struct Ctx {
   Scheduler& sched;
   ChannelPool channels;
   std::vector<LeafSim> leaves;
-  /// FPTree's HTM fallback lock, one per shard (global when shards == 1):
-  /// a conflict storm on shard i serializes only shard i's traversals.
+  /// The HTM fallback lock, one per shard (global when shards == 1): FPTree
+  /// traversals, in-place SMO escalations and, with cfg.global_fallback,
+  /// RNTree publishes take it; a storm on shard i serializes only shard i.
   std::vector<SimMutex> fallbacks;
-  /// RNTree models' striped publish fallback locks: fallback_stripes per
-  /// shard (one per shard = the pre-stripe global-lock baseline).
-  std::vector<SimMutex> stripes;
   std::uint32_t tid_base = 0;  ///< trace track base for this run's workers
   std::size_t inject_leaf = ~std::size_t{0};  ///< scripted-conflict target
-  /// Hot leaf set for the storm: leaves with stripe_ref(leaf) == hot_ref
-  /// under the FIXED kStormRef-way mapping (config-independent, so the
-  /// striped and global runs classify the same ops as hot/cold).
-  static constexpr std::size_t kStormRef = 64;
-  std::size_t hot_ref = ~std::size_t{0};
-  std::vector<std::size_t> hot_leaves;  ///< members of the hot leaf set
+  /// The storm's hot leaf set: the leaves whose index is congruent to the
+  /// storm key's leaf modulo kStormHotStride (hot_base).
+  std::size_t hot_base = 0;
+  std::vector<std::size_t> hot_leaves;
   // aggregated results
   std::uint64_t completed = 0;
   std::uint64_t find_retries = 0;
@@ -91,36 +87,24 @@ struct Ctx {
   Ctx(const SimConfig& c, Scheduler& s)
       : cfg(c),
         sched(s),
-        channels(c.nvm_channels, c.costs.persist, c.costs.persist_occupancy),
+        channels(kNvmChannels, c.costs.persist, c.costs.persist_occupancy),
         leaves(static_cast<std::size_t>(
             std::max<std::uint64_t>(1, c.keys / c.keys_per_leaf))),
-        fallbacks(static_cast<std::size_t>(std::max(1, c.shards))),
-        stripes(static_cast<std::size_t>(std::max(1, c.shards)) *
-                static_cast<std::size_t>(std::max(1, c.fallback_stripes))) {
+        fallbacks(static_cast<std::size_t>(std::max(1, c.shards))) {
     if (c.inject.enabled)
       inject_leaf = static_cast<std::size_t>(mix64(c.inject.key ^ 0x9E37) %
                                              leaves.size());
     if (c.storm.enabled) {
-      hot_ref = stripe_hash(static_cast<std::size_t>(
-                    mix64(c.storm.key ^ 0x9E37) % leaves.size())) %
-                kStormRef;
-      for (std::size_t l = 0; l < leaves.size(); ++l)
-        if (stripe_hash(l) % kStormRef == hot_ref) hot_leaves.push_back(l);
+      hot_base = static_cast<std::size_t>(mix64(c.storm.key ^ 0x9E37) %
+                                          leaves.size()) %
+                 kStormHotStride;
+      for (std::size_t l = hot_base; l < leaves.size(); l += kStormHotStride)
+        hot_leaves.push_back(l);
     }
   }
 
-  /// Same hash for the configured stripe index and the reference mapping:
-  /// at fallback_stripes == kStormRef the hot set IS exactly one stripe.
-  static std::size_t stripe_hash(std::size_t leaf_idx) noexcept {
-    return static_cast<std::size_t>(
-        mix64(static_cast<std::uint64_t>(leaf_idx) ^ 0x5151));
-  }
-  SimMutex& stripe_of(std::size_t shard_idx, std::size_t leaf_idx) {
-    const auto n = static_cast<std::size_t>(std::max(1, cfg.fallback_stripes));
-    return stripes[shard_idx * n + stripe_hash(leaf_idx) % n];
-  }
   bool storm_hot(std::size_t leaf_idx) const noexcept {
-    return cfg.storm.enabled && stripe_hash(leaf_idx) % kStormRef == hot_ref;
+    return cfg.storm.enabled && leaf_idx % kStormHotStride == hot_base;
   }
 };
 
@@ -190,11 +174,11 @@ Task worker(Ctx& ctx, int wid) {
         rng.next_below(100) < static_cast<std::uint64_t>(ctx.cfg.update_pct);
     const KeyGen::Pick pick = keys.next();
     std::size_t leaf_idx = pick.leaf;
-    // Storm traffic skew: hot_pct% of every worker's ops are redirected at
-    // the hot leaf set; the uniform remainder is the cold traffic whose
-    // survival the fallback ablation measures.
+    // Storm traffic skew: kStormHotPct% of every worker's ops are
+    // redirected at the hot leaf set; the uniform remainder is the cold
+    // traffic whose survival the fallback ablation measures.
     if (ctx.cfg.storm.enabled && !ctx.hot_leaves.empty() &&
-        rng.next_below(100) < ctx.cfg.storm.hot_pct)
+        rng.next_below(100) < kStormHotPct)
       leaf_idx = ctx.hot_leaves[rng.next_below(ctx.hot_leaves.size())];
     LeafSim& leaf = ctx.leaves[leaf_idx];
     const std::size_t shard_idx = leaf_idx % static_cast<std::size_t>(n_shards);
@@ -250,33 +234,21 @@ Task worker(Ctx& ctx, int wid) {
           co_await Delay{s, d};
         }
         co_await Delay{s, c.leaf_search + c.slot_update};
-        // Striped fallback elision (bench_ablation_fallback): the slot
-        // publish runs as an HTM transaction subscribed to this leaf's
-        // stripe fallback lock — it cannot start while a fallback holder is
-        // inside (the abort-and-spin subscription idiom).  With one stripe
-        // this wait is what couples every publish to a storm elsewhere.
-        SimMutex& stripe_mx = ctx.stripe_of(shard_idx, leaf_idx);
-        bool stripe_held = false;
-        if (stripe_mx.locked()) {
-          // Lock-subscription abort: a subscribed publish cannot elide while
-          // a fallback holder is inside, and under a sustained storm
-          // retrying is hopeless — it joins the FIFO and publishes under
-          // the lock itself.  This is the convoy that collapses the
-          // single-global-lock baseline: one hot holder turns every
-          // concurrent publish on the same stripe into a fallback holder.
-          const SimTime tw = s.now();
-          co_await stripe_mx.acquire(s);
-          ph.add(obs::Phase::kLockWait, s.now() - tw);
-          stripe_held = true;
-          ctx.htm_fallbacks++;
-          hc.fallbacks.inc();
-          obs::heatmap_record_at(pick.key, obs::HeatCause::kFallback);
-        }
+        // Slot publish (RNTree::publish_slot): an HTM section whose
+        // fallback is the leaf lock this writer already holds, so a publish
+        // that exhausts its retry budget takes no further lock.  The
+        // global-fallback ablation instead subscribes every publish to the
+        // shard fallback lock: it cannot start while a holder is inside,
+        // and under a sustained storm retrying is hopeless, so it joins the
+        // FIFO and publishes under the lock itself — the convoy that
+        // collapses the global baseline.
+        const bool global = ctx.cfg.global_fallback;
+        bool fell_back = global && fallback.locked();
         // Scripted capacity-abort storm: hot-set publishes capacity-abort
         // per attempt with storm.permille; after two aborts retrying is
-        // hopeless and the publish escalates to the stripe fallback lock,
-        // held across the flush (the serialization being measured).
-        if (!stripe_held && ctx.storm_hot(leaf_idx)) {
+        // hopeless and the publish runs under its fallback lock, held
+        // across the flush.
+        if (!fell_back && ctx.storm_hot(leaf_idx)) {
           int aborts = 0;
           while (aborts < 2 &&
                  rng.next_below(1000) < ctx.cfg.storm.permille) {
@@ -286,67 +258,50 @@ Task worker(Ctx& ctx, int wid) {
             obs::heatmap_record_at(pick.key, obs::HeatCause::kCapacity);
             co_await Delay{s, c.backoff};
           }
-          if (aborts >= 2) {
+          fell_back = aborts >= 2;
+        }
+        if (fell_back) {
+          if (global) {
             const SimTime tl = s.now();
-            co_await stripe_mx.acquire(s);
+            co_await fallback.acquire(s);
             ph.add(obs::Phase::kLockWait, s.now() - tl);
-            stripe_held = true;
-            ctx.htm_fallbacks++;
-            hc.fallbacks.inc();
-            obs::heatmap_record_at(pick.key, obs::HeatCause::kFallback);
           }
+          ctx.htm_fallbacks++;
+          hc.fallbacks.inc();
+          obs::heatmap_record_at(pick.key, obs::HeatCause::kFallback);
         }
         // Group persistency (batch > 1): the slot flush defers its fence to
         // the batch barrier — it pays channel occupancy only (the clwb), and
         // every batch-th modify pays one full persist as the trailing
         // barrier.  Eager mode (batch == 1) is the paper's 2-fence profile.
+        // Single-slot readers see the window of the whole slot flush (and,
+        // under group persistency, of the barrier when this op closes the
+        // batch); dual-slot readers see only the transient copy.
         const bool barrier_now = batch > 1 && ++batch_pos >= batch;
         if (barrier_now) batch_pos = 0;
-        if (dual) {
-          // Slot flush does not block readers; only the transient copy does.
-          if (batch > 1) {
-            pc.batch_persist.inc();
-            ph.add(obs::Phase::kPersist, c.persist_occupancy);
-            co_await Delay{s, c.persist_occupancy};
-            if (barrier_now) {
-              const SimTime d = ctx.channels.persist_latency(s.now());
-              ph.add(obs::Phase::kPersist, d);
-              pc.batch_fence.inc();
-              co_await Delay{s, d};
-            }
-          } else {
+        if (!dual) leaf.pub_seq++;
+        if (batch > 1) {
+          pc.batch_persist.inc();
+          ph.add(obs::Phase::kPersist, c.persist_occupancy);
+          co_await Delay{s, c.persist_occupancy};
+          if (barrier_now) {
             const SimTime d = ctx.channels.persist_latency(s.now());
             ph.add(obs::Phase::kPersist, d);
-            pc.persist.inc();
+            pc.batch_fence.inc();
             co_await Delay{s, d};
           }
-          leaf.pub_seq++;
+        } else {
+          const SimTime d = ctx.channels.persist_latency(s.now());
+          ph.add(obs::Phase::kPersist, d);
+          pc.persist.inc();
+          co_await Delay{s, d};
+        }
+        leaf.pub_seq++;
+        if (dual) {
           co_await Delay{s, c.slot_copy};
           leaf.pub_seq++;
-        } else {
-          // Readers see the window of the whole slot flush (and, under group
-          // persistency, of the barrier when this op closes the batch —
-          // single-slot durability windows widen to the batch boundary).
-          leaf.pub_seq++;
-          if (batch > 1) {
-            pc.batch_persist.inc();
-            ph.add(obs::Phase::kPersist, c.persist_occupancy);
-            co_await Delay{s, c.persist_occupancy};
-            if (barrier_now) {
-              const SimTime d = ctx.channels.persist_latency(s.now());
-              ph.add(obs::Phase::kPersist, d);
-              pc.batch_fence.inc();
-              co_await Delay{s, d};
-            }
-          } else {
-            const SimTime d = ctx.channels.persist_latency(s.now());
-            ph.add(obs::Phase::kPersist, d);
-            pc.persist.inc();
-            co_await Delay{s, d};
-          }
-          leaf.pub_seq++;
         }
-        if (stripe_held) stripe_mx.release(s);
+        if (fell_back && global) fallback.release(s);
         if (rng.next_below(32) == 0) {  // amortised compaction
           const SimTime t0 = s.now();
           co_await Delay{s, c.compact};
@@ -582,8 +537,8 @@ SimResult run_simulation(const SimConfig& cfg) {
   res.htm_fallbacks = ctx.htm_fallbacks;
   res.smo_count = ctx.smo_count;
   res.aborts_capacity = ctx.aborts_capacity;
-  res.hot_stripe_ops = ctx.hot_ops;
-  res.cold_stripe_ops = ctx.cold_ops;
+  res.hot_ops = ctx.hot_ops;
+  res.cold_ops = ctx.cold_ops;
   return res;
 }
 

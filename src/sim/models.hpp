@@ -7,7 +7,11 @@
 //   RNTree      — KV flush OUTSIDE the lock; short critical section (slot
 //                 update + slot flush); readers validate a per-modification
 //                 window over the persistent slot array, so they stall while
-//                 a writer's slot flush is in flight.
+//                 a writer's slot flush is in flight.  The slot publish is
+//                 an HTM section whose fallback is the leaf lock the writer
+//                 already holds (RNTree::publish_slot runs
+//                 atomic_exec(nullptr, ...)), so a publish that exhausts its
+//                 attempts takes no further lock.
 //   RNTree+DS   — same writer path plus the transient-slot copy; the
 //                 reader-visible window shrinks to that copy (tens of ns),
 //                 so readers effectively never block (S4.3).
@@ -18,11 +22,16 @@
 //                 aborts, which is what folds the whole tree into a single
 //                 serialization point under skew (S3.4, Figs 8-10).
 //
+// The paper's global-fallback-lock design survives as one ablation switch
+// (SimConfig::global_fallback): RNTree publishes then subscribe to the
+// per-shard fallback lock that FPTree and the in-place SMO model take.
+//
 // Stage costs are configurable; defaults approximate the single-thread
 // measurements of the real implementations in this repository (see
 // bench_micro) with the paper's 140 ns NVM write latency.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/histogram.hpp"
@@ -30,6 +39,17 @@
 namespace rnt::sim {
 
 enum class TreeModel { kRNTree, kRNTreeDS, kFPTree };
+
+/// NVM channels: one 6-way interleave set (the paper's testbed).
+inline constexpr int kNvmChannels = 6;
+
+/// Share (percent) of each worker's ops a capacity-abort storm redirects at
+/// its hot leaf set; the uniform remainder is the cold traffic.
+inline constexpr std::uint32_t kStormHotPct = 30;
+
+/// Stride of the storm's hot leaf set: the leaves whose index is congruent
+/// to the storm key's leaf modulo kStormHotStride.
+inline constexpr std::size_t kStormHotStride = 64;
 
 /// Stage costs in virtual nanoseconds.
 struct Costs {
@@ -65,7 +85,6 @@ struct SimConfig {
   std::uint64_t seed = 42;
   /// Open-loop request rate per worker (ops/s); 0 = closed loop.
   double open_rate = 0.0;
-  int nvm_channels = 6;  ///< one 6-way interleave set (paper's testbed)
   /// ShardedTree modeling (fig8 --shards): leaves are partitioned over this
   /// many independent shards.  FPTree's fallback lock becomes per-shard (the
   /// whole point: abort storms stay local); per-shard shard.<i>.ops counters
@@ -81,28 +100,22 @@ struct SimConfig {
   /// leaf critical section (the decoupled design of S3.4) instead of the
   /// paper's overlapped placement.  Applies to the RNTree models only.
   bool flush_inside_lock = false;
-  /// Fallback-lock striping (bench_ablation_fallback): the RNTree models'
-  /// slot publish runs as an HTM transaction subscribed to one of this many
-  /// per-shard stripe fallback locks, keyed by leaf hash.  1 = the single
-  /// global fallback lock (the pre-stripe baseline).  Use 64 to align the
-  /// configured stripes with the storm's fixed 64-way hot-set mapping.
-  int fallback_stripes = 1;
-  /// Scripted capacity-abort storm (bench_ablation_fallback): ops landing
-  /// on the hot leaf set — the leaves sharing @p key's stripe under a FIXED
-  /// 64-way reference mapping, so hot/cold classification is identical
-  /// across stripe configurations — capacity-abort with probability
-  /// @p permille per attempt; two aborts escalate to the CONFIGURED stripe
-  /// fallback lock, held across the publish.  With one stripe every cold
-  /// op's publish subscribes to that same lock and collapses; with 64
-  /// stripes only the hot set serializes.
+  /// Ablation knob (bench_ablation_fallback): RNTree slot publishes fall
+  /// back under the per-shard global fallback lock (the paper's design)
+  /// instead of the leaf lock the writer already holds (as built).  Every
+  /// publish then subscribes to that lock, so one fallback holder stalls
+  /// the whole shard's publishes.
+  bool global_fallback = false;
+  /// Scripted capacity-abort storm (bench_ablation_fallback): kStormHotPct%
+  /// of every worker's ops are redirected at a hot leaf set (every
+  /// kStormHotStride-th leaf, in step with @p key's leaf), whose publishes
+  /// capacity-abort with probability @p permille per attempt; two aborts
+  /// exhaust the retry budget and the publish runs under its fallback lock
+  /// (the leaf lock, or the shard lock with global_fallback).
   struct Storm {
     bool enabled = false;
     std::uint64_t key = 0;
     std::uint32_t permille = 800;
-    /// Share of each worker's ops redirected at the hot leaf set (the
-    /// skewed traffic that makes the storm a storm); the rest stays
-    /// uniform and is the "cold" traffic whose survival is measured.
-    std::uint32_t hot_pct = 30;
   } storm;
   /// Scripted conflict injection (heatmap validation): every op that lands
   /// on @p key's leaf suffers @p aborts simulated conflict aborts and then a
@@ -142,10 +155,9 @@ struct SimResult {
   std::uint64_t smo_count = 0;         ///< SMOs executed (smo.enabled)
   std::uint64_t aborts_capacity = 0;   ///< capacity aborts in SMO/storm txns
   /// Storm accounting (storm.enabled): completed ops split by membership in
-  /// the hot leaf set (fixed 64-way reference mapping — comparable across
-  /// fallback_stripes settings).
-  std::uint64_t hot_stripe_ops = 0;
-  std::uint64_t cold_stripe_ops = 0;
+  /// the hot leaf set.
+  std::uint64_t hot_ops = 0;
+  std::uint64_t cold_ops = 0;
 };
 
 /// Run one deterministic simulation.

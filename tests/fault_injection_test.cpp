@@ -176,9 +176,7 @@ TEST(AbortInjection, BoundedLockWaitTimesOutInsteadOfSpinningForever) {
 // unchanged.
 TEST(StripeTableTest, BoundedLockWaitRecordsLockWaitHeat) {
   if (!obs::kOpObservation) GTEST_SKIP() << "heat attribution compiled out";
-  ASSERT_TRUE(obs::heatmap_configure(
-      {.buckets = 64, .by_leaf = false, .key_space = 0,
-       .decay_half_life_s = 0.0}));
+  ASSERT_TRUE(obs::heatmap_configure({.buckets = 64, .key_space = 0}));
   obs::set_heatmap_enabled(true);
   {
     obs::OpScope scope(obs::OpKind::kOther, 123);

@@ -1,6 +1,7 @@
 // Contention-heatmap tests: bucketing math, deterministic attribution of
-// injected HTM aborts through the real RNTree op path, decay, exiting-thread
-// folding, OpScope heat-target hygiene, and baseline-tree op attribution.
+// injected HTM aborts through the real RNTree op path, sampler-tick tracks,
+// exiting-thread folding, OpScope heat-target hygiene, and baseline-tree op
+// attribution.
 // The compiled-out build's inertness test lives in obs_test.cpp.
 #include "obs/heatmap.hpp"
 
@@ -33,10 +34,7 @@ constexpr int kOpIdx = static_cast<int>(HeatCause::kOp);
 class HeatmapTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(heatmap_configure({.buckets = 64,
-                                   .by_leaf = false,
-                                   .key_space = 0,
-                                   .decay_half_life_s = 0.0}));
+    ASSERT_TRUE(heatmap_configure({.buckets = 64, .key_space = 0}));
     set_heatmap_enabled(true);
   }
   void TearDown() override {
@@ -159,54 +157,23 @@ TEST_F(HeatmapTest, CapacityAbortChargesFallbackToSameBucket) {
   EXPECT_GE(count_at(want, kFallbackIdx), 1u);
 }
 
-TEST_F(HeatmapTest, ByLeafModeFollowsResolvedLeaf) {
-  ASSERT_TRUE(heatmap_configure({.buckets = 64, .by_leaf = true}));
-  nvm::PmemPool pool(64u << 20);
-  core::RNTree<std::uint64_t, std::uint64_t> tree(pool);
-  set_heatmap_enabled(false);
-  for (std::uint64_t i = 0; i < 512; ++i) tree.upsert(mix64(i), i);
-  heatmap_reset();
-  set_heatmap_enabled(true);
-  {
-    htm::ScriptedAbortInjector inj({htm::AbortCause::kConflict});
-    htm::ScopedAbortInjector scope(&inj);
-    ASSERT_TRUE(tree.upsert(mix64(5), 1).ok());
-  }
-  // One leaf took the conflict; totals must balance regardless of which
-  // hash bucket the leaf address landed in.
-  const HeatmapSnapshot snap = heatmap_snapshot();
-  EXPECT_GE(snap.totals[kConflictIdx], 1u);
-  std::uint64_t sum = 0;
-  for (const HeatBucket& b : snap.buckets) sum += b.counts[kConflictIdx];
-  EXPECT_EQ(sum, snap.totals[kConflictIdx]);
-}
-
-TEST_F(HeatmapTest, DecayScalesEveryCell) {
-  const std::uint64_t key = 123;
-  for (int i = 0; i < 8; ++i) heatmap_record_at(key, HeatCause::kConflict);
-  heatmap_decay(0.5);
-  EXPECT_EQ(count_at(heatmap_bucket_of(key), kConflictIdx), 4u);
-  heatmap_decay(0.0);  // full clear
-  EXPECT_TRUE(heatmap_snapshot().buckets.empty());
-}
-
-TEST_F(HeatmapTest, TickAppliesHalfLifeDecayAndRecordsTracks) {
-  ASSERT_TRUE(heatmap_configure(
-      {.buckets = 64, .key_space = 0, .decay_half_life_s = 1.0}));
+TEST_F(HeatmapTest, TickRecordsTracks) {
   const std::uint64_t key = 99;
   const std::uint32_t b = heatmap_bucket_of(key);
   for (int i = 0; i < 100; ++i) heatmap_record_at(key, HeatCause::kConflict);
-  heatmap_tick(1'000'000'000);  // baseline: no previous tick, no decay
-  EXPECT_EQ(count_at(b, kConflictIdx), 100u);
-  heatmap_tick(2'000'000'000);  // 1 s at half-life 1 s -> halved
-  EXPECT_EQ(count_at(b, kConflictIdx), 50u);
+  heatmap_tick(1'000'000'000);
+  for (int i = 0; i < 50; ++i) heatmap_record_at(key, HeatCause::kConflict);
+  heatmap_tick(2'000'000'000);
+  EXPECT_EQ(count_at(b, kConflictIdx), 150u);  // cumulative: ticks never scale
 
   const std::vector<HeatTrack> tracks = heatmap_tracks(4);
   ASSERT_FALSE(tracks.empty());
   EXPECT_EQ(tracks[0].bucket, b);
   ASSERT_EQ(tracks[0].points.size(), 2u);
+  EXPECT_EQ(tracks[0].points[0].ts_ns, 1'000'000'000u);
   EXPECT_EQ(tracks[0].points[0].score, 100u);
-  EXPECT_EQ(tracks[0].points[1].score, 50u);
+  EXPECT_EQ(tracks[0].points[1].ts_ns, 2'000'000'000u);
+  EXPECT_EQ(tracks[0].points[1].score, 150u);
 }
 
 TEST_F(HeatmapTest, ExitingThreadFoldsIntoRetiredTotals) {
@@ -256,7 +223,7 @@ TEST_F(HeatmapTest, JsonSectionShape) {
   heatmap_record_at(0, HeatCause::kConflict);
   const std::string json = heatmap_json();
   EXPECT_NE(json.find("\"buckets\": 64"), std::string::npos);
-  EXPECT_NE(json.find("\"mode\": \"key\""), std::string::npos);
+  EXPECT_NE(json.find("\"lo\": 0, \"hi\": "), std::string::npos);
   EXPECT_NE(json.find("\"aborts_conflict\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"top\": ["), std::string::npos);
   set_heatmap_enabled(false);

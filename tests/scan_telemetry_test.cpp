@@ -132,10 +132,7 @@ int heated_by_full_scan(const T& tree, std::uint64_t n) {
 
 TEST_F(ScanTelemetryTest, ScanHeatsTheVisitedRange) {
   constexpr std::uint64_t kSpace = 8192;
-  ASSERT_TRUE(obs::heatmap_configure({.buckets = 64,
-                                      .by_leaf = false,
-                                      .key_space = kSpace,
-                                      .decay_half_life_s = 0.0}));
+  ASSERT_TRUE(obs::heatmap_configure({.buckets = 64, .key_space = kSpace}));
   obs::set_heatmap_enabled(true);
 
   // 8192 dense keys span > 100 leaves; with 64 buckets over the key space

@@ -270,9 +270,19 @@ TEST(SimModels, CowSmoOutscalesInplaceAtHighCores) {
   EXPECT_GT(inp.htm_fallbacks, 0u);
 }
 
-// --- striped fallback locks under a capacity-abort storm ----------------
+TEST(SimModels, DefaultPublishesNeverWaitOnTheShardFallbackLock) {
+  // As built, a publish falls back under the leaf lock its writer already
+  // holds, so with no storm the only fallbacks are in-place SMO escalations
+  // (at most one per SMO).  A publish subscribed to the shard fallback lock
+  // would add one fallback per publish that found an escalated SMO inside.
+  const SimResult r = run_simulation(smo_config(false, 64));
+  EXPECT_GT(r.htm_fallbacks, 0u) << "no SMO escalated to the shard lock";
+  EXPECT_LE(r.htm_fallbacks, r.smo_count);
+}
 
-SimConfig storm_config(int stripes, std::uint32_t permille) {
+// --- leaf-lock vs global fallback under a capacity-abort storm ----------
+
+SimConfig storm_config(bool global, std::uint32_t permille) {
   SimConfig cfg;
   cfg.model = TreeModel::kRNTreeDS;
   cfg.threads = 16;
@@ -280,43 +290,43 @@ SimConfig storm_config(int stripes, std::uint32_t permille) {
   cfg.keys_per_leaf = 48;
   cfg.update_pct = 100;
   cfg.horizon_ns = 20'000'000;
-  cfg.fallback_stripes = stripes;
-  cfg.storm.enabled = true;  // classification + 30% hot-set traffic skew
+  cfg.global_fallback = global;
+  cfg.storm.enabled = true;  // hot set + 30% hot-set traffic skew
   cfg.storm.key = 7;
   cfg.storm.permille = permille;  // 0 = calm baseline, same traffic
   return cfg;
 }
 
-double storm_cold_ratio(int stripes) {
-  const SimResult calm = run_simulation(storm_config(stripes, 0));
-  const SimResult storm = run_simulation(storm_config(stripes, 800));
-  EXPECT_GT(calm.cold_stripe_ops, 0u);
-  return static_cast<double>(storm.cold_stripe_ops) /
-         static_cast<double>(calm.cold_stripe_ops);
+double storm_cold_ratio(bool global) {
+  const SimResult calm = run_simulation(storm_config(global, 0));
+  const SimResult storm = run_simulation(storm_config(global, 800));
+  EXPECT_GT(calm.cold_ops, 0u);
+  return static_cast<double>(storm.cold_ops) /
+         static_cast<double>(calm.cold_ops);
 }
 
-TEST(SimModels, StripedFallbackSurvivesCapacityStormGlobalCollapses) {
-  // The robustness tentpole's deterministic assertion (also exported by
-  // bench_ablation_fallback and enforced by smoke_fallback_storm): under a
-  // permille-800 capacity-abort storm pinned to one stripe, cold traffic
-  // keeps >= 0.5x of its calm throughput when fallbacks are striped, while
-  // the single global fallback lock convoys everyone and collapses.
-  const double striped = storm_cold_ratio(64);
-  const double global = storm_cold_ratio(1);
-  EXPECT_GE(striped, 0.5) << "storm leaked past the hot stripe";
+TEST(SimModels, LeafLockFallbackSurvivesCapacityStormGlobalCollapses) {
+  // Also exported by bench_ablation_fallback and enforced by
+  // smoke_fallback_storm: under a permille-800 capacity-abort storm on a hot
+  // leaf set, cold traffic keeps nearly all of its calm throughput when
+  // publishes fall back under their own leaf lock, while the global
+  // fallback lock convoys every publish and collapses.
+  const double leaf = storm_cold_ratio(false);
+  const double global = storm_cold_ratio(true);
+  EXPECT_GE(leaf, 0.9) << "storm leaked past the hot leaf set";
   EXPECT_LT(global, 0.5) << "global baseline failed to collapse";
-  EXPECT_LT(global, striped);
+  EXPECT_LT(global, leaf);
 }
 
 TEST(SimModels, StormRunsAreDeterministic) {
-  const SimResult a = run_simulation(storm_config(64, 800));
-  const SimResult b = run_simulation(storm_config(64, 800));
+  const SimResult a = run_simulation(storm_config(false, 800));
+  const SimResult b = run_simulation(storm_config(false, 800));
   EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.cold_stripe_ops, b.cold_stripe_ops);
-  EXPECT_EQ(a.hot_stripe_ops, b.hot_stripe_ops);
+  EXPECT_EQ(a.cold_ops, b.cold_ops);
+  EXPECT_EQ(a.hot_ops, b.hot_ops);
   EXPECT_EQ(a.htm_fallbacks, b.htm_fallbacks);
-  EXPECT_GT(a.htm_fallbacks, 0u) << "storm never escalated to the lock";
-  EXPECT_GT(a.hot_stripe_ops, 0u);
+  EXPECT_GT(a.htm_fallbacks, 0u) << "storm never exhausted the retry budget";
+  EXPECT_GT(a.hot_ops, 0u);
 }
 
 TEST(SimModels, ReadIntensiveMixFavoursDualSlot) {

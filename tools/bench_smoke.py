@@ -46,9 +46,9 @@ modifications went through the copy-on-write install path and exported
 their telemetry.
 
 With --fallback-storm (stats schema only) meta must carry the deterministic
-DES cold-traffic ratios storm_cold_ratio_striped (>= 0.5) and
-storm_cold_ratio_global (strictly below striped) — the machine-checkable
-form of the striped-fallback-lock robustness claim.
+DES cold-traffic ratios storm_cold_ratio_leaf (>= 0.5) and
+storm_cold_ratio_global (strictly below leaf) — the machine-checkable form
+of the leaf-lock-fallback robustness claim.
 
 With --recovery-parallel (stats schema only) recovery.parallel_runs must
 tick (the multi-worker crash-recovery path actually ran), the measured
@@ -175,8 +175,6 @@ def validate_heatmap(doc):
            "missing object 'heatmap' (run with --heatmap-buckets=N)")
     expect(isinstance(hm.get("buckets"), int) and hm["buckets"] >= 2,
            "heatmap.buckets not an int >= 2")
-    expect(hm.get("mode") in ("key", "leaf"),
-           f"heatmap.mode is {hm.get('mode')!r}, want 'key' or 'leaf'")
     events = hm.get("events")
     expect(isinstance(events, dict), "missing object 'heatmap.events'")
     for c in HEAT_CAUSES:
@@ -187,6 +185,9 @@ def validate_heatmap(doc):
         expect(isinstance(b.get("bucket"), int) and 0 <= b["bucket"] < hm["buckets"],
                f"heatmap.top[{i}].bucket out of range")
         expect(isinstance(b.get("score"), int), f"heatmap.top[{i}].score not an int")
+        expect(isinstance(b.get("lo"), int) and isinstance(b.get("hi"), int)
+               and b["lo"] <= b["hi"],
+               f"heatmap.top[{i}] lacks an int key range lo <= hi")
         for c in HEAT_CAUSES:
             expect(isinstance(b.get(c), int), f"heatmap.top[{i}].{c} not an int")
     # The tentpole's end-to-end assertion: fig10's scripted conflict storm on
@@ -287,17 +288,17 @@ def meta_num(meta, key):
 
 def validate_fallback_storm(doc):
     """bench_ablation_fallback's DES panel is deterministic, so its exported
-    cold-traffic survival ratios are asserted: striping keeps cold stripes
-    >= 0.5x of calm throughput under the capacity-abort storm while the
-    single global fallback lock does strictly worse."""
+    cold-traffic survival ratios are asserted: the leaf-lock fallback keeps
+    cold traffic >= 0.5x of calm throughput under the capacity-abort storm
+    while the global fallback lock does strictly worse."""
     meta = doc["meta"]
-    striped = meta_num(meta, "storm_cold_ratio_striped")
+    leaf = meta_num(meta, "storm_cold_ratio_leaf")
     glbl = meta_num(meta, "storm_cold_ratio_global")
-    expect(striped >= 0.5,
-           f"striped cold-traffic ratio {striped} < 0.5 under the storm")
-    expect(glbl < striped,
-           f"global fallback lock ratio ({glbl}) not below striped "
-           f"({striped}) — the storm failed to collapse the baseline")
+    expect(leaf >= 0.5,
+           f"leaf-lock cold-traffic ratio {leaf} < 0.5 under the storm")
+    expect(glbl < leaf,
+           f"global fallback lock ratio ({glbl}) not below leaf lock "
+           f"({leaf}) — the storm failed to collapse the baseline")
 
 
 def validate_recovery_parallel(doc):

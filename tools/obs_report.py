@@ -172,8 +172,8 @@ def heat_bar(score, hi, width=24):
 
 
 def print_heatmap(hm):
-    print(f"\n== contention heatmap ({hm.get('buckets')} "
-          f"{hm.get('mode')}-mode buckets) ==")
+    print(f"\n== contention heatmap ({hm.get('buckets')} key-range "
+          f"buckets) ==")
     ev = hm.get("events", {})
     total = sum(v for k, v in ev.items() if k != "ops")
     print(f"  events: {fmt_si(ev.get('ops', 0))} ops, "
