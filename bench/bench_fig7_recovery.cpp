@@ -2,10 +2,11 @@
 // extension (robustness tentpole, DESIGN.md §9).
 //
 // Panel 1 — reconstruction (clean shutdown) rebuilds internal nodes by
-// walking the persisted leaf chain, trusting the persisted header counters;
-// crash recovery additionally processes undo slots and recomputes
-// nlogs/plogs by scanning each leaf's slot array.  The paper measures crash
-// recovery ~60% slower, both linear in tree size.
+// walking the persisted leaf chain and rebuilds each leaf's volatile state
+// (free-index mask, transient slot and fingerprint lines) from its slot
+// array; crash recovery additionally processes undo slots first.  The
+// paper measures crash recovery ~60% slower, both linear in tree size; here
+// the two paths differ only by the undo scan.
 //
 // Panel 2 — crash recovery with the per-leaf rebuild partitioned over
 // recovery workers (64-leaf blocks off a shared cursor, deterministic

@@ -121,7 +121,7 @@ void run_group_persistency_segment(const BenchOptions& opt,
   char name[32];
   std::snprintf(name, sizeof(name), "batched (K=%u)", opt.batch);
   print_row(name, {batched});
-  print_note("expected: eager ~2.0, batched ~1 + 1/K (+ split/compact noise)");
+  print_note("expected: eager ~2.0, batched ~1 + 1/K (+ split noise)");
 
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", eager);

@@ -7,6 +7,7 @@
 // src/sim) and make the injected-latency model auditable.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <map>
 #include <string>
 
@@ -53,13 +54,18 @@ void BM_PersistWholeLeaf_140ns(benchmark::State& state) {
 }
 BENCHMARK(BM_PersistWholeLeaf_140ns);
 
+// Alg 2 as the tree runs it: claim the lowest set bit of a leaf's free-index
+// mask with one CAS; a full mask is refilled as a shrink split would.
 void BM_CasAllocate(benchmark::State& state) {
-  std::atomic<std::uint32_t> nlogs{0};
+  std::atomic<std::uint64_t> free_mask{~std::uint64_t{0}};
   for (auto _ : state) {
-    std::uint32_t e = nlogs.load(std::memory_order_relaxed);
-    nlogs.compare_exchange_weak(e, e + 1, std::memory_order_acq_rel);
-    if (nlogs.load(std::memory_order_relaxed) > 1u << 20)
-      nlogs.store(0, std::memory_order_relaxed);
+    std::uint64_t m = free_mask.load(std::memory_order_relaxed);
+    if (m == 0) {
+      free_mask.store(~std::uint64_t{0}, std::memory_order_relaxed);
+      continue;
+    }
+    if (free_mask.compare_exchange_weak(m, m & (m - 1), std::memory_order_acq_rel))
+      benchmark::DoNotOptimize(std::countr_zero(m));
   }
 }
 BENCHMARK(BM_CasAllocate);

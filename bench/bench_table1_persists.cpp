@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   print_note("FPTree=3 (remove=1), CDDS=L (sorted multi-version array:");
   print_note("every shifted entry is flushed, ~L/2 per modify on average).");
   print_note("Values sit slightly above the per-op count because split/");
-  print_note("compaction persists amortise into the average.");
+  print_note("compaction persists amortise into the average (RNTree's shrink");
+  print_note("split has none).");
   export_stats(opt, "table1_persists");
   return 0;
 }

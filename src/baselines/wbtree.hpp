@@ -42,7 +42,7 @@ struct alignas(kCacheLineSize) WbLeaf {
 
   // ---- line 0: header ----
   std::atomic<std::uint64_t> valid;  ///< persistent slot-array valid flag
-  std::atomic<std::uint32_t> nlogs;  ///< volatile; recomputed on recovery
+  std::atomic<std::uint32_t> nalloc;  ///< volatile; recomputed on recovery
   htm::VersionLock vlock;
   std::atomic<std::uint64_t> next;
   std::atomic<Key> high_key;
@@ -57,7 +57,7 @@ struct alignas(kCacheLineSize) WbLeaf {
 
   void init() noexcept {
     valid.store(1, std::memory_order_relaxed);
-    nlogs.store(0, std::memory_order_relaxed);
+    nalloc.store(0, std::memory_order_relaxed);
     vlock.reset();
     next.store(0, std::memory_order_relaxed);
     high_key.store(Key{}, std::memory_order_relaxed);
@@ -103,7 +103,7 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
       std::uint32_t max_idx = 0;
       for (int i = 0; i < count; ++i)
         max_idx = std::max<std::uint32_t>(max_idx, leaf->pslot[1 + i]);
-      leaf->nlogs.store(count == 0 ? 0 : max_idx + 1, std::memory_order_relaxed);
+      leaf->nalloc.store(count == 0 ? 0 : max_idx + 1, std::memory_order_relaxed);
       return count;
     });
   }
@@ -230,7 +230,7 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
     bool exists = core::slot_match(leaf->pslot, leaf->logs, pos, k);
     if (mode == Mode::kInsert && exists) return common::StatusCode::kKeyExists;
     if (mode == Mode::kUpdate && !exists) return common::StatusCode::kKeyAbsent;
-    std::uint32_t e = leaf->nlogs.load(std::memory_order_relaxed);
+    std::uint32_t e = leaf->nalloc.load(std::memory_order_relaxed);
     if (e >= Leaf::kLogCap || leaf->pslot[0] >= core::kSlotCap) {
       leaf = split(leaf, k);
       if (leaf == nullptr) {
@@ -240,9 +240,9 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
       }
       pos = core::slot_lower_bound(leaf->pslot, leaf->logs, k);
       exists = core::slot_match(leaf->pslot, leaf->logs, pos, k);
-      e = leaf->nlogs.load(std::memory_order_relaxed);
+      e = leaf->nalloc.load(std::memory_order_relaxed);
     }
-    leaf->nlogs.store(e + 1, std::memory_order_relaxed);
+    leaf->nalloc.store(e + 1, std::memory_order_relaxed);
 
     // Persist #1: the KV entry.
     nvm::store(leaf->logs[e], Entry{k, v});
@@ -328,7 +328,7 @@ class WBTree : public TreeShell<Key, WbLeaf<Key, Value>> {
     }
     dst->pslot[0] = static_cast<std::uint8_t>(to - from);
     nvm::on_modified(dst->pslot, kCacheLineSize);
-    dst->nlogs.store(static_cast<std::uint32_t>(to - from),
+    dst->nalloc.store(static_cast<std::uint32_t>(to - from),
                      std::memory_order_relaxed);
     nvm::store_release(dst->valid, std::uint64_t{1});
   }

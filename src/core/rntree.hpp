@@ -6,7 +6,8 @@
 // providing durable linearizability.
 //
 // Write path (Alg 1), annotated with the paper's four steps:
-//   1. allocate a log entry  — lock-free CAS on nlogs (Alg 2)
+//   1. allocate a log entry  — lock-free CAS claiming the lowest set bit of
+//      the leaf's free-index mask (Alg 2)
 //   2. write the KV          — plain stores, no coordination needed
 //   3. flush the KV          — persistent instruction #1, OUTSIDE any lock
 //   4. update the metadata   — leaf spinlock; the slot array is rewritten in
@@ -26,11 +27,16 @@
 // the version bump invalidates their snapshots.  Crash recovery rolls back
 // any split whose undo slot is still ACTIVE.
 //
-// A shrink-split (S5.2.3: fewer than half the entries live when the log area
-// fills) compacts the leaf in place under the same undo protection.
+// A shrink split (S5.2.3: fewer than half the entries live when the log area
+// fills) reclaims in place without touching NVM: every log entry is already
+// durable, so under the splitting bit the leaf only marks the indices its
+// slot array no longer names as free again, and the version bump invalidates
+// every reader snapshot that could name one.  Within one leaf version each
+// log index is still written at most once, as in the paper's append-only log.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <memory>
@@ -132,8 +138,8 @@ class RNTree {
     inner_.init_single(leaf);
   }
 
-  /// Recover a tree from @p pool: reconstruction after a clean shutdown,
-  /// full crash recovery (undo processing + counter rebuild) otherwise.
+  /// Recover a tree from @p pool: undo processing after a crash, then the
+  /// same per-leaf rebuild of the volatile state either way.
   /// Throws std::runtime_error("RNTree::recover: <detail>") when the
   /// persistent state is inconsistent.
   struct recover_t {};
@@ -181,25 +187,11 @@ class RNTree {
   RNTree(const RNTree&) = delete;
   RNTree& operator=(const RNTree&) = delete;
 
-  /// Flush volatile leaf counters and mark the pool clean so the next open
-  /// takes the fast reconstruction path.
-  void close() {
-    flush_headers();
-    pool_.close_clean();
-  }
-
-  /// Persist every leaf's header line (plogs/nlogs) without touching the
-  /// pool's clean flag.  ShardedTree flushes ALL member trees first and only
-  /// then marks the shared pool clean, so a crash between two members' header
-  /// flushes still reads as dirty.
-  void flush_headers() {
-    // plogs/nlogs live in the header line; persisting it makes the clean
-    // path's trust in them sound.
-    for (Leaf* leaf = leftmost(); leaf != nullptr; leaf = next_leaf(leaf)) {
-      nvm::on_modified(leaf, kCacheLineSize);
-      nvm::persist(leaf, kCacheLineSize);
-    }
-  }
+  /// Mark the pool clean so the next open skips undo processing: one persist.
+  /// Every persistent leaf field is already durable (a split persists the
+  /// chain fields it writes), and the volatile free-index masks are rebuilt
+  /// from the slot arrays at every open.
+  void close() { pool_.close_clean(); }
 
   // ------------------------------------------------------------------
   // Basic operations
@@ -441,18 +433,21 @@ class RNTree {
   }
 
   /// Epoch-safe walk of the persistent leaf chain: fn(live_entries,
-  /// allocated_log_entries) per leaf.  Reads are relaxed snapshots —
-  /// counts are approximate under concurrent writers, exact quiescent.
+  /// used_log_entries) per leaf, where a used entry is one not free to
+  /// claim.  Reads are relaxed snapshots — counts are approximate under
+  /// concurrent writers, exact quiescent.
   template <typename Fn>
   void visit_leaves(Fn&& fn) const {
     epoch::Guard g = epochs_.pin();
     for (Leaf* l = leftmost(); l != nullptr; l = next_leaf(l))
       fn(static_cast<int>(l->pslot[0]),
-         l->nlogs.load(std::memory_order_relaxed));
+         static_cast<std::uint32_t>(
+             Leaf::kLogCap -
+             std::popcount(l->free_mask.load(std::memory_order_relaxed))));
   }
 
   /// Validate structural invariants (tests): per-leaf sortedness/uniqueness,
-  /// chain ordering against high_key, and slot indices within nlogs.
+  /// chain ordering against high_key, and no referenced index marked free.
   /// Single-threaded use only.  Throws std::logic_error on violation.
   void check_invariants() const {
     Key prev{};
@@ -461,14 +456,14 @@ class RNTree {
       const int count = l->pslot[0];
       if (count > static_cast<int>(kSlotCap))
         throw std::logic_error("slot count exceeds capacity");
-      const std::uint32_t nlogs = l->nlogs.load(std::memory_order_relaxed);
+      const std::uint64_t free = l->free_mask.load(std::memory_order_relaxed);
       std::uint64_t seen_idx = 0;
       for (int i = 0; i < count; ++i) {
         const std::uint32_t idx = l->pslot[1 + i];
         if (idx >= Leaf::kLogCap)
           throw std::logic_error("slot index beyond log capacity");
-        if (idx >= nlogs)
-          throw std::logic_error("slot index beyond allocated log entries");
+        if ((free >> idx) & 1)
+          throw std::logic_error("referenced index marked free");
         if ((seen_idx >> idx) & 1)
           throw std::logic_error("duplicate log index in slot array");
         seen_idx |= std::uint64_t{1} << idx;
@@ -517,15 +512,29 @@ class RNTree {
     }
   }
 
-  /// Alg 2: lock-free log-entry allocation.  Returns kNoEntry when full.
+  /// Alg 2: lock-free log-entry allocation — claim the lowest free index
+  /// with one CAS.  Returns kNoEntry when the log area is full.
   static std::uint32_t allocate_entry(Leaf* leaf) noexcept {
-    std::uint32_t e = leaf->nlogs.load(std::memory_order_relaxed);
+    std::uint64_t m = leaf->free_mask.load(std::memory_order_relaxed);
     for (;;) {
-      if (e >= Leaf::kLogCap) return kNoEntry;
-      if (leaf->nlogs.compare_exchange_weak(e, e + 1, std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-        return e;
+      if (m == 0) return kNoEntry;
+      if (leaf->free_mask.compare_exchange_weak(m, m & (m - 1),
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_relaxed))
+        return static_cast<std::uint32_t>(std::countr_zero(m));
     }
+  }
+
+  /// Every log index is claimed (some may be leaked by abandoned or failed
+  /// ops): the leaf must split or reclaim before it can take another write.
+  static bool log_full(const Leaf* leaf) noexcept {
+    return leaf->free_mask.load(std::memory_order_relaxed) == 0;
+  }
+
+  /// The S5.2.3 decision for a leaf whose log is full: at least half live
+  /// splits into a new sibling; fewer reclaims in place.
+  static bool needs_sibling(int live) noexcept {
+    return live >= static_cast<int>(kSlotCap) / 2;
   }
 
   /// Live-entry count read without the leaf lock: a relaxed load racing by
@@ -552,7 +561,7 @@ class RNTree {
     // self-copy but keep the seqlock windows identical.
     if (!opt_.dual_slot) leaf->mseq.write_begin();
     // The leaf version lock (held here) excludes every other writer of the
-    // slot line — publishes, splits, compactions — so the transaction needs
+    // slot line — publishes, splits, shrink splits — so the transaction needs
     // no fallback lock of its own: it only makes the line's store atomic
     // with respect to crashes.  The persist stays OUTSIDE the transaction
     // (a flush inside an RTM transaction aborts it; the shadow asserts the
@@ -565,7 +574,7 @@ class RNTree {
     // defer its fence to a group-persistency batch barrier: a crash mid-batch
     // loses whole unacknowledged ops, never tears one.  Outside a
     // nvm::BatchScope this is a plain persist().
-    nvm::persist_batchable(leaf->pslot, kCacheLineSize);
+    leaf->pslot_unfenced = nvm::persist_batchable(leaf->pslot, kCacheLineSize);
     if (!opt_.dual_slot) {
       if (fnew != leaf->fps) std::memcpy(leaf->fps, fnew, kCacheLineSize);
       leaf->mseq.write_end();
@@ -623,18 +632,21 @@ class RNTree {
       prefetch_range(leaf, sizeof(Leaf));  // overlap fetch with the KV flush
       const std::uint64_t ver = leaf->vlock.stable_version();
 
-      // Pre-flight reservation: when this op is likely to fill the leaf and
-      // trigger a real split, secure the sibling's space BEFORE taking the
-      // lock or publishing anything, so an exhausted pool is discovered
-      // while backing out costs nothing.  nlogs and the live count are racy
-      // hints (a leaf at least half live splits for real; below that it
-      // compacts in place and needs no block); if they under-estimate,
-      // split_locked falls back to allocating under the lock — still before
-      // any mutation.  An unconsumed reservation returns its block on every
-      // loop exit.
+      // Pre-flight reservation: when this op is likely to trigger a real
+      // split, secure the sibling's space BEFORE taking the lock or
+      // publishing anything, so an exhausted pool is discovered while
+      // backing out costs nothing.  The op splits after its publish when it
+      // claims the last free index (log full) or its insert fills the slot
+      // line; the free mask and the live count are racy hints for both, and
+      // split_locked's own predicate picks the leaves a reclaim serves
+      // without a block.  If the hints under-estimate, split_locked falls
+      // back to allocating under the lock — still before any mutation.  An
+      // unconsumed reservation returns its block on every loop exit.
       nvm::PmemPool::Reservation res;
-      if (leaf->nlogs.load(std::memory_order_relaxed) >= Leaf::kLogCap - 2 &&
-          racy_live_count(leaf) >= kSlotCap / 2)
+      const int live = racy_live_count(leaf);
+      if (needs_sibling(live) &&
+          (std::popcount(leaf->free_mask.load(std::memory_order_relaxed)) <= 1 ||
+           live + 1 >= static_cast<int>(kSlotCap)))
         res = pool_.reserve(sizeof(Leaf));
 
       // Announce this in-flight log write so a concurrent split quiesces
@@ -654,7 +666,7 @@ class RNTree {
         wref.release();
         const common::Status fs = force_split(leaf, &res);
         if (fs.pool_exhausted()) {
-          // The log area is full, the leaf is mostly live (compaction does
+          // The log area is full, the leaf is mostly live (a reclaim does
           // not apply), and there is no room for a sibling: the op cannot
           // proceed.  Nothing was mutated — fail cleanly instead of
           // spinning on a split that can never happen.
@@ -680,8 +692,8 @@ class RNTree {
       if ((leaf->vlock.raw() & htm::VersionLock::kVersionMask) !=
               (ver & htm::VersionLock::kVersionMask) ||
           !covers(leaf, k)) {
-        // A split raced us: our log entry may have been compacted over.
-        // Abandon it (the slot array never pointed at it) and retry.
+        // A split raced us: our log entry may have been reclaimed or copied
+        // over.  Abandon it (the slot array never pointed at it) and retry.
         leaf->vlock.unlock();
         detail::tree_counters().modify_restarts.inc();
         continue;
@@ -696,12 +708,10 @@ class RNTree {
           (mode == Mode::kUpdate && !exists)) {
         // Conditional write fails with no extra cost: the slot array told
         // us (the paper's S3.3 argument) — the allocated entry is leaked
-        // until the next compaction.  A failed (exhausted) split here is
+        // until the next reclaim.  A failed (exhausted) split here is
         // deferred: the op's own outcome is unaffected and the full leaf
         // stays valid until space frees up.
-        leaf->plogs++;
-        const bool full = leaf->plogs >= Leaf::kLogCap - 1;
-        if (full) (void)split_locked(leaf, &res);
+        if (log_full(leaf)) (void)split_locked(leaf, &res);
         leaf->vlock.unlock();
         op.finish(false);
         return mode == Mode::kInsert ? common::StatusCode::kKeyExists
@@ -712,7 +722,7 @@ class RNTree {
         // at capacity: publishing one more entry would overflow it.  The
         // publish-then-split order must invert here — split first, and if
         // space still cannot be found, refuse the insert (our log entry is
-        // abandoned, reclaimed by the next compaction like any leaked one).
+        // abandoned, freed by the next reclaim like any leaked one).
         const common::Status ss = split_locked(leaf, &res);
         leaf->vlock.unlock();
         if (ss.pool_exhausted()) {
@@ -736,28 +746,26 @@ class RNTree {
         fpub = fnew;
       }
       publish_slot(leaf, snew, fpub);
-      leaf->plogs++;
       if (!exists) size_.fetch_add(1, std::memory_order_relaxed);
       // The op itself is already durable and acknowledged; an exhausted
       // split is deferred, not an error.
-      if (leaf->plogs >= Leaf::kLogCap - 1 || snew[0] >= kSlotCap)
-        (void)split_locked(leaf, &res);
+      if (log_full(leaf) || snew[0] >= kSlotCap) (void)split_locked(leaf, &res);
       leaf->vlock.unlock();
       op.finish(true);
       return common::OkStatus();
     }
   }
 
-  /// The log area filled before plogs hit the threshold (entries leaked by
-  /// races/conditional failures): split under the lock, then retry.
+  /// Allocation found the log area full before a publish split the leaf (a
+  /// concurrent writer claimed the last index, or an op leaked it): split
+  /// under the lock, then retry.
   common::Status force_split(Leaf* leaf, nvm::PmemPool::Reservation* res) {
     common::Status s = common::OkStatus();
     {
       obs::PhaseTimer pt(obs::Phase::kLockWait);
       leaf->vlock.lock();
     }
-    if (leaf->nlogs.load(std::memory_order_relaxed) >= Leaf::kLogCap)
-      s = split_locked(leaf, res);
+    if (log_full(leaf)) s = split_locked(leaf, res);
     leaf->vlock.unlock();
     return s;
   }
@@ -770,8 +778,8 @@ class RNTree {
                               nvm::PmemPool::Reservation* res = nullptr) {
     obs::PhaseTimer pt(obs::Phase::kSmo);
     const int live = leaf->pslot[0];
-    if (live < static_cast<int>(kSlotCap) / 2) {
-      compact_locked(leaf);
+    if (!needs_sibling(live)) {
+      reclaim_locked(leaf);
       return common::OkStatus();
     }
     // Secure the sibling's space first — from the caller's pre-flight
@@ -808,9 +816,8 @@ class RNTree {
                        std::memory_order_relaxed);
     nl->has_high.store(src->has_high.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
-    nl->nlogs.store(static_cast<std::uint32_t>(live - split),
-                    std::memory_order_relaxed);
-    nl->plogs = static_cast<std::uint32_t>(live - split);
+    nl->free_mask.store(~std::uint64_t{0} << (live - split),
+                        std::memory_order_relaxed);
     std::memcpy(nl->tslot, nl->pslot, kCacheLineSize);
     slot_fp_rebuild(nl->pslot, nl->fps, nl->logs);
     nvm::on_modified(nl, sizeof(Leaf));
@@ -828,9 +835,9 @@ class RNTree {
     leaf->high_key.store(split_key, std::memory_order_relaxed);
     leaf->has_high.store(1, std::memory_order_relaxed);
     nvm::on_modified(leaf, kCacheLineSize);  // header line
-    leaf->nlogs.store(static_cast<std::uint32_t>(split), std::memory_order_relaxed);
-    leaf->plogs = static_cast<std::uint32_t>(split);
+    leaf->free_mask.store(~std::uint64_t{0} << split, std::memory_order_relaxed);
     nvm::persist(leaf, sizeof(Leaf));
+    leaf->pslot_unfenced = false;
     leaf->tseq.write_begin();
     std::memcpy(leaf->tslot, leaf->pslot, kCacheLineSize);
     slot_fp_rebuild(leaf->pslot, leaf->fps, leaf->logs);
@@ -846,32 +853,25 @@ class RNTree {
     return common::OkStatus();
   }
 
-  /// Shrink-split: obsolete log entries dominate; compact in place.
-  /// (kSmo attribution comes from split_locked, its only caller.)
-  void compact_locked(Leaf* leaf) {
+  /// Shrink split (S5.2.3), persist-free: obsolete log entries dominate, so
+  /// free every index the slot array no longer names.  Nothing persistent
+  /// changes and no entry moves.  The splitting bit and the quiesce keep an
+  /// in-flight KV store out of the freed indices (its writer then fails the
+  /// version check and abandons its entry); the version bump invalidates
+  /// every reader snapshot that could name one.  (kSmo attribution comes
+  /// from split_locked, its only caller.)
+  void reclaim_locked(Leaf* leaf) {
     detail::tree_counters().shrink_splits.inc();
     detail::tree_counters().smo.inc();
     leaf->vlock.set_split();
     quiesce_writers(leaf);
-    nvm::UndoSlot& undo = pool_.undo_slot(pmem_thread_id());
-    begin_undo(undo, leaf, 0);
-    const Leaf* src = reinterpret_cast<const Leaf*>(undo.data);
-    const int live = src->pslot[0];
-    for (int i = 0; i < live; ++i) {
-      nvm::store(leaf->logs[i], src->logs[src->pslot[1 + i]]);
-      leaf->pslot[1 + i] = static_cast<std::uint8_t>(i);
+    // A batched publish may still owe the slot line its fence: the durable
+    // slot array must stop naming an index before anyone can rewrite it.
+    if (leaf->pslot_unfenced) {
+      nvm::persist(leaf->pslot, kCacheLineSize);
+      leaf->pslot_unfenced = false;
     }
-    leaf->pslot[0] = static_cast<std::uint8_t>(live);
-    nvm::on_modified(leaf->pslot, kCacheLineSize);
-    leaf->nlogs.store(static_cast<std::uint32_t>(live), std::memory_order_relaxed);
-    leaf->plogs = static_cast<std::uint32_t>(live);
-    nvm::on_modified(leaf, kCacheLineSize);
-    nvm::persist(leaf, sizeof(Leaf));
-    leaf->tseq.write_begin();
-    std::memcpy(leaf->tslot, leaf->pslot, kCacheLineSize);
-    slot_fp_rebuild(leaf->pslot, leaf->fps, leaf->logs);
-    leaf->tseq.write_end();
-    end_undo(undo);
+    leaf->free_mask.store(~leaf->referenced_mask(), std::memory_order_relaxed);
     leaf->vlock.unset_split_and_bump();
   }
 
@@ -916,40 +916,28 @@ class RNTree {
     return common::StatusCode::kCorrupted;
   }
 
-  /// Per-leaf transient rebuild.  ALL volatile header fields must be
-  /// re-initialised: a crash rewinds the header cache line to its durable
-  /// image, which can leave the seqlocks odd (readers would spin forever)
-  /// or the writer-quiesce counter nonzero (splits would never proceed).
+  /// Per-leaf transient rebuild, the same after a crash and after a clean
+  /// shutdown.  ALL volatile header fields must be re-initialised: the
+  /// header line's durable image can leave the seqlocks odd (readers would
+  /// spin forever) or the writer-quiesce counter nonzero (splits would
+  /// never proceed).
   /// Pure volatile-side repair — no NVM events — so recovery workers run it
   /// concurrently on disjoint leaves.  Returns false when the persistent
   /// slot metadata is torn (live count or log index out of range),
   /// validated BEFORE slot_fp_rebuild dereferences the indices.
-  bool repair_leaf(Leaf* leaf, bool crashed) {
+  bool repair_leaf(Leaf* leaf) {
     leaf->vlock.reset();
     leaf->mseq.reset();
     leaf->tseq.reset();
     leaf->writers.store(0, std::memory_order_relaxed);
+    leaf->pslot_unfenced = false;
     const int count = leaf->pslot[0];
     if (count > static_cast<int>(kSlotCap)) return false;
-    std::uint32_t max_idx = 0;
-    for (int i = 0; i < count; ++i) {
-      const std::uint8_t idx = leaf->pslot[1 + i];
-      if (idx >= Leaf::kLogCap) return false;
-      max_idx = std::max<std::uint32_t>(max_idx, idx);
-    }
-    if (crashed) {
-      // nlogs/plogs are not crash-consistent: recompute from the slot
-      // array — "scan the slot array to find the max index of log
-      // entries" (S6.2.6).  Unreferenced tail entries are reclaimed for
-      // free: the next allocation may overwrite them.
-      const std::uint32_t n = count == 0 ? 0 : max_idx + 1;
-      leaf->nlogs.store(n, std::memory_order_relaxed);
-      leaf->plogs = n;
-    }
-    // else: the clean-shutdown path trusts the persisted header counters.
+    for (int i = 0; i < count; ++i)
+      if (leaf->pslot[1 + i] >= Leaf::kLogCap) return false;
+    // "Scan the slot array" (S6.2.6): every entry it does not name is free.
+    leaf->free_mask.store(~leaf->referenced_mask(), std::memory_order_relaxed);
     std::memcpy(leaf->tslot, leaf->pslot, kCacheLineSize);
-    // The fingerprint line is transient: always rebuilt from the
-    // persistent slot array, clean shutdown or not.
     slot_fp_rebuild(leaf->pslot, leaf->fps, leaf->logs);
     return true;
   }
@@ -1010,7 +998,7 @@ class RNTree {
         const std::size_t hi = std::min(n, lo + kRecoveryBlock);
         for (std::size_t i = lo; i < hi; ++i) {
           Leaf* leaf = leaves[i];
-          if (!repair_leaf(leaf, crashed)) {
+          if (!repair_leaf(leaf)) {
             detail::recovery_counters().corrupt_leaves.inc();
             torn.store(true, std::memory_order_relaxed);
             break;

@@ -156,7 +156,7 @@ inline void slot_fp_remove_at(std::uint8_t* slot, std::uint8_t* fps,
 }
 
 /// Rebuild the whole fingerprint line from a slot array and its log (splits,
-/// compaction, recovery).  Positions >= count are zeroed for determinism.
+/// recovery).  Positions >= count are zeroed for determinism.
 template <typename Entry>
 inline void slot_fp_rebuild(const std::uint8_t* slot, std::uint8_t* fps,
                             const Entry* logs) noexcept {

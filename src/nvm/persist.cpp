@@ -79,10 +79,10 @@ thread_local int tls_batch_depth = 0;
 
 int batch_depth() noexcept { return tls_batch_depth; }
 
-void persist_batchable(const void* p, std::size_t n) noexcept(false) {
+bool persist_batchable(const void* p, std::size_t n) noexcept(false) {
   if (tls_batch_depth == 0) {
     persist(p, n);
-    return;
+    return false;
   }
   obs::PhaseTimer pt(obs::Phase::kPersist);
   persist_counters().batch_persist.inc();
@@ -92,6 +92,7 @@ void persist_batchable(const void* p, std::size_t n) noexcept(false) {
   // No fence: the lines stay write-pending until the scope's batch_barrier()
   // (or any earlier eager sfence, which drains everything pending -- early
   // durability is always safe; the batching only amortizes the fence COUNT).
+  return true;
 }
 
 void batch_barrier() noexcept(false) {

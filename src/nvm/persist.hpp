@@ -143,8 +143,9 @@ void persist(const void* p, std::size_t n) noexcept(false);
 
 /// Flush [p, p+n) like persist(), but inside an active BatchScope the fence is
 /// deferred to the scope's trailing barrier (counted as batch_persist, not
-/// persist).  Outside any BatchScope this is exactly persist().
-void persist_batchable(const void* p, std::size_t n) noexcept(false);
+/// persist).  Outside any BatchScope this is exactly persist().  Returns true
+/// when the fence was deferred (the range is not yet known durable).
+bool persist_batchable(const void* p, std::size_t n) noexcept(false);
 
 /// Drain all pending writebacks accumulated by persist_batchable() (and any
 /// other un-fenced clwb's) with one fence, counted as batch_fence.  No-op when

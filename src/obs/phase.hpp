@@ -26,7 +26,7 @@
 //               leaf version-lock in RNTree's modify/remove paths
 //   kPersist  — inside nvm::persist() compounds (flush + fence drain,
 //               including the injected NVM write latency)
-//   kSmo      — structure modifications (leaf split / shrink-compact),
+//   kSmo      — structure modifications (leaf split / shrink split),
 //               INCLUSIVE of the persists they issue
 //
 // Phases deliberately overlap where the code does (an SMO's persists count

@@ -44,7 +44,7 @@ struct LevelStats {
 struct LeafLevelStats {
   std::uint64_t leaves = 0;
   std::uint64_t live_entries = 0;
-  std::uint64_t log_used = 0;     ///< allocated log entries across the chain
+  std::uint64_t log_used = 0;     ///< claimed (not free) log entries across the chain
   double fill_avg = 0.0;          ///< live / slot capacity
   double fill_p50 = 0.0;
   double fill_p99 = 0.0;
@@ -100,10 +100,10 @@ StructureReport audit_tree(const Tree& tree) {
 
   // Leaf chain.
   std::vector<double> leaf_fills;
-  tree.visit_leaves([&](int live, std::uint32_t nlogs) {
+  tree.visit_leaves([&](int live, std::uint32_t log_used) {
     ++rep.leaf.leaves;
     rep.leaf.live_entries += static_cast<std::uint64_t>(live);
-    rep.leaf.log_used += nlogs;
+    rep.leaf.log_used += log_used;
     leaf_fills.push_back(static_cast<double>(live) / rep.slot_capacity);
   });
   detail::fill_percentiles(leaf_fills, rep.leaf.fill_avg, rep.leaf.fill_p50,

@@ -118,12 +118,9 @@ class ShardedTree {
   ShardedTree(const ShardedTree&) = delete;
   ShardedTree& operator=(const ShardedTree&) = delete;
 
-  /// Flush every shard's leaf headers, THEN mark the shared pool clean — a
-  /// crash between two shards' header flushes must still read as dirty.
-  void close() {
-    for (auto& t : shards_) t->flush_headers();
-    pool_.close_clean();
-  }
+  /// Mark the shared pool clean once (what each member's close() would do):
+  /// no shard has volatile state the next open does not rebuild.
+  void close() { pool_.close_clean(); }
 
   // ------------------------------------------------------------------
   // Single-key operations (delegated; same Status contract as RNTree)

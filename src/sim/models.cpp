@@ -302,15 +302,8 @@ Task worker(Ctx& ctx, int wid) {
           leaf.pub_seq++;
         }
         if (fell_back && global) fallback.release(s);
-        if (rng.next_below(32) == 0) {  // amortised compaction
-          const SimTime t0 = s.now();
-          co_await Delay{s, c.compact};
-          const SimTime d = ctx.channels.persist_latency(s.now());
-          ph.add(obs::Phase::kPersist, d);
-          pc.persist.inc();
-          co_await Delay{s, d};
-          ph.add(obs::Phase::kSmo, s.now() - t0);  // inclusive of its persist
-        }
+        // No shrink-split term: the tree's reclaim is a version bump with no
+        // persist, below this model's resolution.
         // Inner-node SMO model (bench_ablation_smo): roughly every
         // keys_per_leaf-th modify splits its leaf and must install the new
         // separator into the (transient) inner structure.

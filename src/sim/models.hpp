@@ -70,7 +70,6 @@ struct Costs {
   std::uint64_t slot_copy = 40;       ///< htmLeafCopySlot (dual slot array)
   std::uint64_t read_snapshot = 150;  ///< snapshot + binary search (find)
   std::uint64_t fp_scan = 180;        ///< FPTree fingerprint + key probe
-  std::uint64_t compact = 2000;       ///< leaf compaction, amortised 1/32 mods
   std::uint64_t backoff = 40;         ///< retry pause
 };
 

@@ -10,9 +10,15 @@
 // re-points / re-bits in place), so their sixth op class exercises the
 // nearest recovery-relevant analogue instead — reusing a log position /
 // bitmap slot freed by a remove.
+//
+// kTargetsFirstReuse: RNTree's shrink split frees log indices without a
+// single NVM event, so its compaction class targets the update after it —
+// the first whose KV store lands in a reclaimed index — instead.
 #pragma once
 
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "baselines/fptree.hpp"
 #include "baselines/nvtree.hpp"
@@ -51,12 +57,32 @@ struct RnTreeAdapter {
   }
   static std::uint64_t splits() { return counter("tree.leaf_splits"); }
   static std::uint64_t compactions() { return counter("tree.shrink_splits"); }
-  /// RNTree removes never consume a log entry, so compaction is driven by
-  /// out-of-place updates: 8 live keys, then updates until the consumed-log
-  /// counter fills and the low-occupancy split compacts in place.
+  /// RNTree removes never consume a log entry, so the shrink split is
+  /// driven by out-of-place updates: 8 live keys, then updates until every
+  /// log index is claimed and the low-occupancy split reclaims in place.
   static Step compaction_step(std::uint64_t i) {
     if (i < 8) return Step{Step::kInsert, 5 + i * 10, 0xC000 + i};
     return Step{Step::kUpdate, 5 + (i % 8) * 10, 0xC100 + i};
+  }
+  static constexpr bool kTargetsFirstReuse = true;
+  /// Apply @p s (an update of the stream's one leaf) and throw unless its
+  /// KV landed in an index the last shrink split reclaimed: free before @p s
+  /// and holding an entry the stream wrote before that reclaim.
+  static void apply_checking_reuse(Tree& t, nvm::PmemPool& p, Model& m,
+                                   const Step& s) {
+    using Leaf = typename Tree::Leaf;
+    const Leaf* leaf = p.ptr<Leaf>(p.root(0));
+    const std::uint64_t free0 = leaf->free_mask.load(std::memory_order_relaxed);
+    typename Leaf::Entry old[Leaf::kLogCap];
+    std::memcpy(old, leaf->logs, sizeof(old));
+    apply_step(t, m, s);
+    int e = -1;
+    for (int i = 0; i < leaf->pslot[0]; ++i)
+      if (leaf->logs[leaf->pslot[1 + i]].key == s.key) e = leaf->pslot[1 + i];
+    if (e < 0 || leaf->logs[e].value != s.value)
+      throw std::logic_error("reuse calibration: target update not published");
+    if (((free0 >> e) & 1) == 0 || old[e].key == 0 || old[e].value == s.value)
+      throw std::logic_error("reuse calibration: target entry was not reclaimed");
   }
 };
 
@@ -81,6 +107,7 @@ struct NvTreeAdapter {
   }
   static std::uint64_t splits() { return counter("shell.splits"); }
   static std::uint64_t compactions() { return counter("shell.compactions"); }
+  static constexpr bool kTargetsFirstReuse = false;
   /// NVTree removes append log entries, so a remove CAN trigger the
   /// low-occupancy compaction: 8 live keys, then (insert fresh, remove it)
   /// pairs grow the log by one entry per op while live stays at 8.  The op
@@ -110,6 +137,7 @@ struct WbTreeAdapter {
   }
   static std::uint64_t splits() { return counter("shell.splits"); }
   static std::uint64_t compactions() { return counter("shell.compactions"); }
+  static constexpr bool kTargetsFirstReuse = false;
   /// Out-of-place updates consume log entries until the log fills with 8
   /// live keys — the low-occupancy path compacts in place.
   static Step compaction_step(std::uint64_t i) {

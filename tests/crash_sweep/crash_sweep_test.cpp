@@ -151,7 +151,8 @@ TEST_F(CrashSweepCowSmo, InstallRacingFallbackRandomEviction) {
 template <class A>
 void sweep_close(nvm::EvictionMode mode, std::uint64_t seed) {
   // 40 spaced keys: two+ leaves for RNTree-sized nodes, several for small
-  // ones — the close loop then has per-leaf flush events to crash inside.
+  // ones.  RNTree's close() is the clean flag's persist alone; WBTreeSO's
+  // flushes per-leaf state first, so its sweep crashes inside that loop.
   std::vector<Step> prep;
   for (std::uint64_t i = 0; i < 40; ++i)
     prep.push_back(Step{Step::kInsert, 10 + i * 3, 0xD000 + i});

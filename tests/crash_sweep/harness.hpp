@@ -4,7 +4,7 @@
 //
 //   1. builds a deterministic Scenario — a prep op list and one target op —
 //      via calibration runs when the class needs a structural trigger
-//      (split / inner SMO / compaction),
+//      (split / inner SMO / compaction or the first reuse after it),
 //   2. counts the target op's tracked NVM events with a ShadowPool attached
 //      and no crash scheduled, asserting the class's structural expectation
 //      (split happened / did not happen, compaction happened) and, for
@@ -46,8 +46,9 @@ enum class OpClass {
   kInsertInnerSmo, ///< insert that splits a leaf of a height>=2 tree
   kUpdate,         ///< update of an existing key
   kRemove,         ///< remove of an existing key
-  kCompaction,     ///< op that triggers compaction (or, for trees without a
-                   ///< compaction path, reuses a freed log position)
+  kCompaction,     ///< op that triggers compaction (RNTree: the first update
+                   ///< reusing an index its shrink split reclaimed; trees
+                   ///< without a compaction path: reuse of a freed position)
 };
 
 inline const char* op_class_name(OpClass c) {
@@ -174,7 +175,9 @@ Scenario calibrate_split_scenario(OpClass cls, std::uint64_t base_inserts) {
 }
 
 /// Calibrate a compaction scenario from the adapter's op stream: run steps
-/// until one increments the compaction counter — that step is the target.
+/// until one increments the compaction counter — that step is the target,
+/// or, for an adapter with kTargetsFirstReuse, the step after it (checked
+/// to write a reclaimed entry).
 template <class A>
 Scenario calibrate_compaction_scenario() {
   Scenario sc;
@@ -189,7 +192,13 @@ Scenario calibrate_compaction_scenario() {
     const Step s = A::compaction_step(i);
     apply_step(*tree, m, s);
     if (A::compactions() > c0) {
-      sc.target = s;
+      if constexpr (A::kTargetsFirstReuse) {
+        sc.prep.push_back(s);
+        sc.target = A::compaction_step(i + 1);
+        A::apply_checking_reuse(*tree, pool, m, sc.target);
+      } else {
+        sc.target = s;
+      }
       return sc;
     }
     sc.prep.push_back(s);
@@ -302,8 +311,16 @@ void check_class_expectations(const Scenario& sc, const CountResult& r) {
       ASSERT_GE(r.height, 2) << ctx << ": tree not tall enough for an SMO";
       break;
     case OpClass::kCompaction:
-      if (A::kHasCompaction) {
-        ASSERT_GE(r.compaction_delta, 1u) << ctx << ": target did not compact";
+      if constexpr (A::kHasCompaction) {
+        if constexpr (A::kTargetsFirstReuse) {
+          // The reclaim before it was free; so is reusing what it freed.
+          ASSERT_EQ(r.compaction_delta, 0u) << ctx << ": reuse reclaimed again";
+          EXPECT_EQ(r.persists, A::kUpdatePersists)
+              << ctx << ": update into a reclaimed entry changed its persists";
+          sweep_obs().persist_gate_checks.inc();
+        } else {
+          ASSERT_GE(r.compaction_delta, 1u) << ctx << ": target did not compact";
+        }
       }
       break;
   }

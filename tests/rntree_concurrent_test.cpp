@@ -262,6 +262,56 @@ TEST_P(RNTreeConcurrentTest, HotLeafContention) {
   EXPECT_GT(shrinks.value() - shrinks0, 0u);
 }
 
+TEST_P(RNTreeConcurrentTest, ReclaimedEntriesNeverReachAReader) {
+  // Two writers update the 8 keys of one leaf, so its log fills every 56
+  // updates and the shrink split frees the unreferenced indices for reuse.
+  // Two readers look the keys up throughout: a reader snapshot that still
+  // names a freed index must fail validation (the reclaim bumps the
+  // version) rather than return another key's value from the reused entry.
+  constexpr std::uint64_t kKeys = 8;
+  constexpr int kUpdatesPerWriter = 40000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) ASSERT_TRUE(tree_->insert(k, k << 32));
+  ASSERT_EQ(tree_->leaf_count(), 1u);
+  const obs::Counter shrinks("tree.shrink_splits");
+  const std::uint64_t shrinks0 = shrinks.value();
+
+  std::atomic<int> writers_left{2};
+  std::atomic<std::uint64_t> failed_updates{0};
+  std::atomic<std::uint64_t> violations{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> ts;
+  for (int w = 0; w < 2; ++w) {
+    ts.emplace_back([&, w] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(w) + 21);
+      for (int i = 1; i <= kUpdatesPerWriter; ++i) {
+        const std::uint64_t k = rng.next_below(kKeys);
+        if (!tree_->update(k, (k << 32) | static_cast<std::uint64_t>(i)))
+          failed_updates.fetch_add(1);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    ts.emplace_back([&, r] {
+      Xoshiro256 rng(static_cast<std::uint64_t>(r) + 31);
+      while (writers_left.load(std::memory_order_relaxed) > 0) {
+        const std::uint64_t k = rng.next_below(kKeys);
+        auto v = tree_->find(k);
+        if (!v.has_value() || (*v >> 32) != k) violations.fetch_add(1);
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(failed_updates.load(), 0u);
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GE(shrinks.value() - shrinks0, 1000u);
+  EXPECT_EQ(tree_->leaf_count(), 1u);
+  EXPECT_EQ(tree_->size(), kKeys);
+  tree_->check_invariants();
+}
+
 TEST_P(RNTreeConcurrentTest, RecoveryAfterConcurrentRun) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 3000;

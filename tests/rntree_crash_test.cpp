@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/rntree.hpp"
@@ -165,8 +166,9 @@ TEST_P(CrashSweep, EveryCrashPointWithSplits) {
 }
 
 TEST_P(CrashSweep, EveryCrashPointThroughCompaction) {
-  // Update-heavy single-leaf workload: crash points land inside shrink
-  // splits (in-place compaction under undo).
+  // Update-heavy single-leaf workload: the log fills and the shrink split
+  // reclaims in place, so crash points land in updates that reuse
+  // reclaimed log entries.
   std::vector<OpRec> ops;
   for (int i = 0; i < 8; ++i)
     ops.push_back({0, static_cast<std::uint64_t>(i), 1000});
@@ -177,6 +179,77 @@ TEST_P(CrashSweep, EveryCrashPointThroughCompaction) {
   std::uint64_t crash_at = 1;
   while (run_one(ops, crash_at, nvm::EvictionMode::kNone, 0)) ++crash_at;
   EXPECT_GT(crash_at, 200u);
+}
+
+TEST_P(CrashSweep, BatchedReclaimPersistsTheSlotLineBeforeReuse) {
+  // Inside a group-persistency batch a publish defers its slot-line fence.
+  // Key 0's update below claims the leaf's last free index, so the shrink
+  // split after it frees key 0's previous index 0 while the durable slot
+  // array may still name it, and key 1's update then claims index 0.  The
+  // reclaim must make the slot line durable first: otherwise a crash that
+  // evicts the new KV line but loses the slot line leaves key 0's durable
+  // slot naming key 1's entry.  Every event of the batch, under eviction.
+  std::map<std::uint64_t, std::uint64_t> committed;
+  auto prep = [&](Tree& t) {
+    committed.clear();
+    for (std::uint64_t k = 0; k < 8; ++k) {
+      ASSERT_TRUE(t.insert(k, 100 + k));  // log indices 0..7
+      committed[k] = 100 + k;
+    }
+    for (std::uint64_t u = 0; u < 55; ++u) {  // indices 8..62; key 0 stays
+      ASSERT_TRUE(t.update(1 + u % 7, 200 + u));
+      committed[1 + u % 7] = 200 + u;
+    }
+  };
+  auto batch = [](Tree& t) {
+    nvm::BatchScope b;
+    (void)t.update(0, 900);  // claims index 63: log full -> shrink split
+    (void)t.update(1, 901);  // claims the lowest freed index: 0
+  };
+  const Tree::Options opt{.dual_slot = GetParam()};
+  std::uint64_t events = 0;
+  {
+    nvm::PmemPool pool(std::size_t{4} << 20);
+    Tree t(pool, opt);
+    prep(t);
+    const obs::Counter shrinks("tree.shrink_splits");
+    const std::uint64_t shrinks0 = shrinks.value();
+    nvm::ShadowPool shadow(pool);
+    batch(t);
+    events = shadow.events_seen();
+    ASSERT_EQ(shrinks.value() - shrinks0, 1u);
+  }
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (std::uint64_t n = 1; n <= events; ++n) {
+      const std::string ctx =
+          "crash_at=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      nvm::PmemPool pool(std::size_t{4} << 20);
+      {
+        Tree t(pool, opt);
+        prep(t);
+        nvm::ShadowPool shadow(pool);
+        shadow.schedule_crash_after(n);
+        bool crashed = false;
+        try {
+          batch(t);
+        } catch (const nvm::CrashPoint&) {
+          crashed = true;
+        }
+        ASSERT_TRUE(crashed) << ctx;
+        shadow.simulate_crash(nvm::EvictionMode::kRandomEviction, seed);
+      }
+      pool.reopen_volatile();
+      Tree rec(Tree::recover_t{}, pool, opt);
+      ASSERT_NO_THROW(rec.check_invariants()) << ctx;
+      ASSERT_EQ(rec.size(), 8u) << ctx;
+      for (const auto& [k, v] : committed) {
+        const auto got = rec.find(k);
+        ASSERT_TRUE(got.has_value()) << ctx << " key " << k;
+        const std::uint64_t pending = k == 0 ? 900 : k == 1 ? 901 : v;
+        EXPECT_TRUE(*got == v || *got == pending) << ctx << " key " << k;
+      }
+    }
+  }
 }
 
 TEST_P(CrashSweep, RandomEvictionAdversary) {

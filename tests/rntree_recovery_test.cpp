@@ -152,7 +152,7 @@ TEST(RntreeRecoveryTest, ParallelRecoveryMatchesSerialCrashPath) {
     for (std::uint64_t i = 0; i < kKeys; ++i)
       ASSERT_TRUE(tree.upsert(key_of(i), i).ok());
     // No close(): the pool stays dirty, so every recovery below takes the
-    // crash path (undo scan + nlogs/plogs recompute).
+    // crash path (undo scan before the per-leaf rebuild).
   }
   for (const int workers : {1, 4}) {
     Tree::Options opt;

@@ -1,5 +1,5 @@
 // Single-threaded functional tests for RNTree: basic operations, conditional
-// write semantics, splits/compaction, range queries, persist counts (the
+// write semantics, splits/shrink splits, range queries, persist counts (the
 // paper's Table 1 claim of 2 persistent instructions per modify), recovery.
 #include <gtest/gtest.h>
 
@@ -105,8 +105,8 @@ TEST_P(RNTreeTest, ReverseOrderInserts) {
 
 TEST_P(RNTreeTest, UpdateHeavyWorkloadTriggersCompaction) {
   // Repeated updates of the same small key set consume log entries without
-  // growing the live set: the shrink-split (in-place compaction) must kick
-  // in and keep all data intact.
+  // growing the live set: the shrink split (in-place reclaim) must kick in
+  // and keep all data intact.
   const obs::Counter shrinks("tree.shrink_splits");
   const std::uint64_t shrinks0 = shrinks.value();
   for (std::uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(tree_->insert(i, 0));
@@ -115,6 +115,77 @@ TEST_P(RNTreeTest, UpdateHeavyWorkloadTriggersCompaction) {
   EXPECT_GT(shrinks.value() - shrinks0, 0u);
   for (std::uint64_t i = 0; i < 20; ++i)
     ASSERT_EQ(tree_->find(i), std::optional<std::uint64_t>(300));
+  tree_->check_invariants();
+}
+
+TEST_P(RNTreeTest, ShrinkSplitIssuesNoPersist) {
+  // The update that fills a mostly dead log pays only its own two persists:
+  // the shrink split that follows frees indices in place, touching no NVM.
+  // Inside a group-persistency batch the slot-line fence is deferred, so the
+  // durable slot array may still name an index about to be freed: then the
+  // reclaim persists the slot line first, one persist more.
+  for (std::uint64_t i = 0; i < 8; ++i) ASSERT_TRUE(tree_->insert(i, 0));
+  const obs::Counter shrinks("tree.shrink_splits");
+  const obs::Counter& persists = nvm::persist_counters().persist;
+  for (const bool batched : {false, true}) {
+    std::optional<nvm::BatchScope> batch;
+    if (batched) batch.emplace();
+    bool reclaimed = false;
+    for (std::uint64_t u = 1; u <= 2 * Tree::log_capacity() && !reclaimed; ++u) {
+      const std::uint64_t shrinks0 = shrinks.value();
+      const std::uint64_t persists0 = persists.local();
+      ASSERT_TRUE(tree_->update(u % 8, u));
+      reclaimed = shrinks.value() > shrinks0;
+      const std::uint64_t op_persists = batched ? 1 : 2;  // KV (+ slot line)
+      EXPECT_EQ(persists.local() - persists0, op_persists + (reclaimed && batched))
+          << "update " << u << (batched ? " (batched)" : "");
+    }
+    EXPECT_TRUE(reclaimed) << (batched ? "batched" : "eager");
+  }
+  EXPECT_EQ(tree_->leaf_count(), 1u);
+  tree_->check_invariants();
+}
+
+TEST_P(RNTreeTest, EverySplitTakesItsSiblingFromThePreflightReservation) {
+  // modify reserves a sibling block before taking the leaf lock exactly
+  // when the op will trigger a real split, so no split allocates under the
+  // lock and no reservation goes back unused.  Both triggers: updates of a
+  // leaf at least half live fill its log, and inserts fill its slot line.
+  // A shrink split needs no block: none is reserved for it.
+  const obs::Counter splits("tree.leaf_splits");
+  const obs::Counter shrinks("tree.shrink_splits");
+  const obs::Counter acquired("pool.reserve.acquired");
+  const obs::Counter consumed("pool.reserve.consumed");
+  for (std::uint64_t k = 0; k < 40; ++k) ASSERT_TRUE(tree_->insert(k, k));
+  std::uint64_t splits0 = splits.value();
+  std::uint64_t acquired0 = acquired.value();
+  std::uint64_t consumed0 = consumed.value();
+  for (std::uint64_t u = 0; splits.value() == splits0; ++u) {
+    ASSERT_LT(u, 2 * Tree::log_capacity());
+    ASSERT_TRUE(tree_->update(u % 40, u));
+  }
+  EXPECT_EQ(consumed.value() - consumed0, 1u) << "log-full split";
+  EXPECT_EQ(acquired.value() - acquired0, 1u) << "log-full split";
+
+  const std::uint64_t shrinks0 = shrinks.value();
+  acquired0 = acquired.value();
+  splits0 = splits.value();
+  for (std::uint64_t u = 0; u < 4 * Tree::log_capacity(); ++u)
+    ASSERT_TRUE(tree_->update(u % 8, u));  // the left half: 20 live
+  EXPECT_GE(shrinks.value() - shrinks0, 1u);
+  EXPECT_EQ(splits.value(), splits0);
+  EXPECT_EQ(acquired.value(), acquired0) << "shrink splits";
+
+  consumed0 = consumed.value();
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t k = 1000 + rng.next_below(1u << 30);
+    (void)tree_->insert(k, k);
+  }
+  const std::uint64_t fill_splits = splits.value() - splits0;
+  ASSERT_GE(fill_splits, 50u);
+  EXPECT_EQ(consumed.value() - consumed0, fill_splits) << "slot-full splits";
+  EXPECT_EQ(acquired.value() - acquired0, fill_splits) << "slot-full splits";
   tree_->check_invariants();
 }
 
@@ -248,6 +319,24 @@ TEST_P(RNTreeTest, RecoveryAfterCleanShutdown) {
   ASSERT_TRUE(recovered.remove(0));
 }
 
+TEST_P(RNTreeTest, CloseIsOnePersistWhateverTheTreeSize) {
+  // Ascending inserts leave ~31 keys per leaf: 32,000 keys make 1,000+
+  // leaves.  No leaf holds volatile state the next open does not rebuild,
+  // so close() persists only the pool's clean flag.
+  for (std::uint64_t i = 0; i < 32000; ++i) ASSERT_TRUE(tree_->insert(i, i));
+  ASSERT_GE(tree_->leaf_count(), 1000u);
+  const obs::Counter& persists = nvm::persist_counters().persist;
+  const std::uint64_t before = persists.local();
+  tree_->close();
+  EXPECT_EQ(persists.local() - before, 1u);
+  tree_.reset();
+  pool_->reopen_volatile();
+  ASSERT_TRUE(pool_->clean_shutdown());
+  Tree recovered(Tree::recover_t{}, *pool_, Tree::Options{.dual_slot = GetParam()});
+  EXPECT_EQ(recovered.size(), 32000u);
+  recovered.check_invariants();
+}
+
 TEST_P(RNTreeTest, RecoveryWithoutCleanShutdownScansSlots) {
   constexpr std::uint64_t kN = 3000;
   for (std::uint64_t i = 0; i < kN; ++i) ASSERT_TRUE(tree_->insert(i, i));
@@ -260,7 +349,8 @@ TEST_P(RNTreeTest, RecoveryWithoutCleanShutdownScansSlots) {
   EXPECT_EQ(recovered.size(), kN);
   for (std::uint64_t i = 0; i < kN; ++i)
     ASSERT_EQ(recovered.find(i), std::optional<std::uint64_t>(i)) << i;
-  // Updates after crash recovery must not corrupt (nlogs was recomputed).
+  // Updates after crash recovery must not corrupt (the free-index mask was
+  // rebuilt from the slot arrays).
   for (std::uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(recovered.update(i, 99));
   recovered.check_invariants();
 }

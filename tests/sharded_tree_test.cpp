@@ -175,7 +175,10 @@ TEST_F(ShardedTreeTest, CleanCloseRecoverRoundTrip) {
   {
     SH tree(pool, opt);
     for (std::uint64_t i = 0; i < 300; ++i) ASSERT_TRUE(tree.insert(i, i + 5));
+    const obs::Counter& persists = nvm::persist_counters().persist;
+    const std::uint64_t before = persists.local();
     tree.close();
+    EXPECT_EQ(persists.local() - before, 1u);  // the shared clean flag only
   }
   pool.reopen_volatile();
   ASSERT_TRUE(pool.clean_shutdown());
